@@ -22,7 +22,7 @@ import sys
 import os
 
 
-def main(argv=None):
+def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="hypertrace_ingester_ray")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
@@ -36,8 +36,8 @@ def main(argv=None):
              "(bucket count must match --num-partitions)",
     )
     run.add_argument("--out", required=True)
-    # None sentinels so a --config file's values are only overridden when a
-    # flag was explicitly passed (defaults applied after config merge below)
+    # None sentinels so a --config file's values (or PipelineConfig's
+    # defaults) are only overridden when a flag was explicitly passed
     run.add_argument("--num-partitions", type=int, default=None)
     run.add_argument("--concurrency", type=int, default=None)
     run.add_argument("--max-turns-per-conv", type=int, default=None)
@@ -59,7 +59,7 @@ def main(argv=None):
     psrc.add_argument("--input", help="transcript parquet file/dir")
     psrc.add_argument("--events", help="sf dir: derive transcripts from events.parquet")
     prep.add_argument("--out", required=True)
-    prep.add_argument("--num-partitions", type=int, default=64)
+    prep.add_argument("--num-partitions", type=int, default=None)
     prep.add_argument("--num-cpus", type=int, default=None)
 
     synth = sub.add_parser("synth", help="write a synthetic transcript corpus")
@@ -67,8 +67,35 @@ def main(argv=None):
     synth.add_argument("--n-convs", type=int, default=10_000)
     synth.add_argument("--seed", type=int, default=42)
     synth.add_argument("--hot-conv-every", type=int, default=0)
+    return ap
 
-    args = ap.parse_args(argv)
+
+def pipeline_config_from_args(args):
+    """The ``PipelineConfig`` a ``run`` or ``prepare-corpus`` invocation
+    uses: the ``--config`` file or ``PipelineConfig``'s own defaults
+    (``num_partitions`` follows ``HTR_NUM_PARTITIONS``), then every flag
+    that was passed explicitly."""
+    from .pipelines.ingest import PipelineConfig
+
+    if getattr(args, "config", None):
+        from .config import load_pipeline_config
+
+        cfg = load_pipeline_config(args.config)
+    else:
+        cfg = PipelineConfig()
+    if args.num_partitions is not None:
+        cfg.num_partitions = args.num_partitions
+    if getattr(args, "concurrency", None) is not None:
+        cfg.concurrency = args.concurrency
+    if getattr(args, "max_turns_per_conv", None) is not None:
+        cfg.max_turns_per_conv = args.max_turns_per_conv
+    if getattr(args, "session_gap_sec", None) is not None:
+        cfg.session_gap_us = int(args.session_gap_sec * 1e6)
+    return cfg
+
+
+def main(argv=None):
+    args = build_parser().parse_args(argv)
 
     if args.cmd == "synth":
         from .sources.transcripts import write_synthetic_transcripts
@@ -98,15 +125,11 @@ def main(argv=None):
         else:
             ray.init(address=addr)
     try:
-        from .pipelines.ingest import (
-            PipelineConfig,
-            prepare_bucketed_corpus,
-            run_pipeline,
-        )
+        from .pipelines.ingest import prepare_bucketed_corpus, run_pipeline
         from .sources.transcripts import transcripts_from_events
 
+        cfg = pipeline_config_from_args(args)
         if args.cmd == "prepare-corpus":
-            cfg = PipelineConfig(num_partitions=args.num_partitions)
             source = (
                 transcripts_from_events(args.events)
                 if args.events
@@ -116,37 +139,6 @@ def main(argv=None):
             print(json.dumps(summary, default=str))
             return 0
 
-        session_gap_us = (
-            int(args.session_gap_sec * 1e6)
-            if args.session_gap_sec is not None
-            else None
-        )
-        if args.config:
-            from .config import load_pipeline_config
-
-            cfg = load_pipeline_config(args.config)
-            # explicit CLI flags override the config file; unset flags don't
-            if args.num_partitions is not None:
-                cfg.num_partitions = args.num_partitions
-            if args.concurrency is not None:
-                cfg.concurrency = args.concurrency
-            if args.max_turns_per_conv is not None:
-                cfg.max_turns_per_conv = args.max_turns_per_conv
-            if session_gap_us is not None:
-                cfg.session_gap_us = session_gap_us
-        else:
-            cfg = PipelineConfig(
-                num_partitions=(
-                    64 if args.num_partitions is None else args.num_partitions
-                ),
-                concurrency=args.concurrency,
-                max_turns_per_conv=(
-                    100_000
-                    if args.max_turns_per_conv is None
-                    else args.max_turns_per_conv
-                ),
-                session_gap_us=session_gap_us,
-            )
         if args.bucketed_corpus:
             summary = run_pipeline(
                 None, args.out, cfg, bucketed_corpus=args.bucketed_corpus

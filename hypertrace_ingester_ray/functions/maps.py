@@ -158,9 +158,14 @@ def parse_query_params(
     keys = _arr(pc.utf8_lower(pc.list_element(kv, 0)))
     vals = _url_decode_unique(_arr(pc.list_element(kv, 1)))
 
-    # group (row, key) runs → comma-join multi-values, vectorized
+    # group (row, key) runs → comma-join multi-values, vectorized.  Entries
+    # within a row are ordered by key STRING (each dictionary entry's sorted
+    # rank), not by dictionary code: codes follow first appearance in the
+    # whole call, which would make a row's map depend on its call-mates
     keys_codes = keys.dictionary_encode()
-    kc = keys_codes.indices.to_numpy(zero_copy_only=False).astype(np.int64)
+    rank = np.empty(len(keys_codes.dictionary), dtype=np.int64)
+    rank[pc.sort_indices(keys_codes.dictionary).to_numpy()] = np.arange(len(rank))
+    kc = rank[keys_codes.indices.to_numpy(zero_copy_only=False)]
     order = np.lexsort((kc, rows))
     rows_s, kc_s = rows[order], kc[order]
     vals_s = _arr(vals.take(pa.array(order)))

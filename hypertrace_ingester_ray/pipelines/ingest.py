@@ -8,7 +8,7 @@ chain is ONE lazy Ray Data pipeline with exactly one all-to-all shuffle:
 
   read_parquet(transcripts, ~2 blocks/CPU)
     → map_batches(normalize_light)                 # span-normalizer (narrow rows)
-    → group_apply(conv_id, partition stage)        # grouper + enricher + view-gen
+    → group_apply_batches(conv_id, partition stage) # grouper + enricher + view-gen
          ├─ grok extraction (post-shuffle)
          ├─ assemble (order/dedup/cap/sessionize)
          ├─ enricher DAG (topo order, vectorized)
@@ -16,6 +16,22 @@ chain is ONE lazy Ray Data pipeline with exactly one all-to-all shuffle:
             per partition (+ manifest)
     → stats rows (1/partition)                     # lineage
   finalize_metrics: tiny combine over the partials # metrics-generator
+
+Reduce batches: the hash partition is the unit of output, commit and
+resume, but not of work.  After the exchange's counts barrier, consecutive
+small partitions are grouped into batches of about
+``stages.grouping.REDUCE_BATCH_ROWS`` rows (never fewer batches than cluster
+CPUs) and each batch runs as ONE reduce task (``PartitionProcessor.
+process_batch``).  Inside it, committed partitions are skipped; grok
+extraction (row-wise), the enricher DAG, the conversation context and the
+six view builders (conversation-local) run once over the whole batch, so
+their fixed per-call cost is paid once; the row-dropping stages (tenant
+drop, rate limit, root-exit drop) and assembly run per partition, so every
+manifest counter stays exact; each view is split back by ``conv_id`` and
+every partition gets its own metrics partial, sink files and manifest,
+byte-identical to processing it alone.  Partitions at or above the target
+run one per task, as before.  Bucketed replay, the sort shuffle and the
+actor pool keep one partition per call.
 
 The metrics aggregation mirrors the reference's metrics pipeline consuming
 the RawServiceView topic (hypertrace-metrics-generator/.../
@@ -35,6 +51,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Union
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -50,6 +67,8 @@ from ..stages.grouping import (
     DEFAULT_NUM_PARTITIONS,
     assemble_conversations,
     group_apply,
+    group_apply_batches,
+    resolve_shuffle,
 )
 from ..stages.filters import RateLimitConfig
 from ..stages.normalize import NormalizeConfig, normalize, split_bypass
@@ -77,7 +96,7 @@ class PipelineConfig:
     # exchange strategy for the one shuffle: None (auto) picks the direct
     # two-stage hash exchange for the stateless path when num_partitions is
     # within DIRECT_SHUFFLE_MAX_PARTITIONS, else Ray Data's sort shuffle
-    # (see stages/grouping.py:_direct_group_apply for the rationale)
+    # (see stages/grouping.py:_direct_exchange for the rationale)
     shuffle: Optional[str] = None
     service_registry: Optional[Dict[str, str]] = None
     metrics_window: str = "minute"
@@ -98,34 +117,34 @@ class PipelineConfig:
     rate_limit: Optional["RateLimitConfig"] = None
 
 
-def process_partition(
-    table: pa.Table,
-    *,
-    registry,
-    max_turns_per_conv: int = 100_000,
-    session_gap_us: Optional[int] = None,
-    metrics_window: str = "minute",
-    drop_root_exits: bool = False,
-    root_exit_exclusions=(),
-    latency_sample_pct: Optional[int] = None,
-    tenant_id: Optional[str] = None,
-    tenant_column: Optional[str] = None,
-    rate_limit: Optional["RateLimitConfig"] = None,
-):
+def process_partition(table: pa.Table, *, registry, **options):
     """Pure core: normalized partition (sorted by conv_id, turn_idx, ts) →
-    (views dict, stats dict).  Shared by the sink-writing actor and tests.
+    (views dict, stats dict).  Shared by the sink-writing actor and tests;
+    the one-partition case of :func:`process_partitions`, which documents
+    ``options``.
 
     The views dict includes ``metrics_partial`` — the per-partition combiner
     of the windowed metric aggregation (A1).  The final combine over these
     partials is tiny (≤ dims × partitions rows), so the metrics stage never
     re-reads or re-shuffles the full per-turn data.
     """
-    from ..stages.metrics import partial_counts
-    from ..stages.normalize import DEFAULT_TENANT, extract_batch
+    return process_partitions([table], registry=registry, **options)[0]
 
-    # no-op if extraction ran pre-shuffle; reconstructs the constant
-    # tenant column the light path elided from the exchange
-    table = extract_batch(table, tenant_id=tenant_id or DEFAULT_TENANT)
+
+def _drop_and_assemble(
+    table: pa.Table,
+    *,
+    max_turns_per_conv,
+    session_gap_us,
+    drop_root_exits,
+    root_exit_exclusions,
+    latency_sample_pct,
+    tenant_column,
+    rate_limit,
+):
+    """The row-dropping head of the partition stage over ONE partition:
+    tenant drop, rate limit, root-exit drop, latency sample, assemble.
+    Returns (assembled table, stats dict without view_counts)."""
     rows_in = table.num_rows
     n_no_tenant = 0
     if tenant_column is not None and table.num_rows:
@@ -164,19 +183,123 @@ def process_partition(
         max_turns_per_conv=max_turns_per_conv,
         session_gap_us=session_gap_us,
     )
-    enriched = registry.apply(assembled)
-    ctx = ConversationContext(enriched)
-    views = {name: builder(enriched, ctx) for name, builder in VIEW_BUILDERS.items()}
-    views["metrics_partial"] = partial_counts(views["per_turn"], metrics_window)
-    stats = {
+    return assembled, {
         "rows_in": rows_in,
         "rows_deduped": n_dedup,
         "rows_capped": n_capped,
         "rows_no_tenant": n_no_tenant,
         "rows_rate_limited": n_rate_limited,
-        "view_counts": {k: v.num_rows for k, v in views.items()},
     }
-    return views, stats
+
+
+def _split_by_partition(table: pa.Table, conv_ids, part_of_conv, n_parts: int):
+    """Split a view built over a whole batch back into ``n_parts``
+    per-partition tables by each row's ``conv_id`` (``conv_ids[i]`` lives
+    in partition ``part_of_conv[i]``).  A stable sort by partition keeps
+    every partition's rows in the order its own pass would have built them
+    — needed because some views (``call_edges``) are ordered by scenario,
+    not conversation."""
+    idx = pc.index_in(table["conv_id"], value_set=conv_ids)
+    part = part_of_conv[idx.to_numpy(zero_copy_only=False)]
+    if len(part) > 1 and (np.diff(part) < 0).any():
+        order = np.argsort(part, kind="stable")
+        table = table.take(pa.array(order))
+        part = part[order]
+    bounds = np.searchsorted(part, np.arange(n_parts + 1))
+    return [
+        table.slice(lo, hi - lo) for lo, hi in zip(bounds[:-1], bounds[1:])
+    ]
+
+
+def process_partitions(
+    tables,
+    *,
+    registry,
+    max_turns_per_conv: int = 100_000,
+    session_gap_us: Optional[int] = None,
+    metrics_window: str = "minute",
+    drop_root_exits: bool = False,
+    root_exit_exclusions=(),
+    latency_sample_pct: Optional[int] = None,
+    tenant_id: Optional[str] = None,
+    tenant_column: Optional[str] = None,
+    rate_limit: Optional["RateLimitConfig"] = None,
+):
+    """Batch core: several normalized partitions (each sorted by conv_id,
+    turn_idx, ts) → one ``(views dict, stats dict)`` per partition, equal to
+    what :func:`process_partition` gives for that partition alone.
+
+    What is fused and what is not:
+
+    - grok extraction is row-wise, so it runs ONCE over the concatenated
+      batch and is sliced back by partition;
+    - the row-dropping stages (tenant drop, rate limit, root-exit drop) and
+      ``assemble_conversations`` run PER PARTITION, so every manifest
+      counter (rows_no_tenant, rows_rate_limited, rows_deduped, rows_capped)
+      stays exact for its partition;
+    - the enricher DAG, the conversation context and the six view builders
+      are conversation-local, so they run ONCE over the batch (fixed
+      per-call cost paid once, TraceEmitPunctuator-style amortization) and
+      each view is split back by ``conv_id``;
+    - the metrics partial runs per partition over its own ``per_turn``.
+    """
+    from ..stages.metrics import partial_counts
+    from ..stages.normalize import DEFAULT_TENANT, extract_batch
+
+    sizes = [t.num_rows for t in tables]
+    batch = (
+        tables[0]
+        if len(tables) == 1
+        else pa.concat_tables(tables, promote_options="default")
+    )
+    # no-op if extraction ran pre-shuffle; reconstructs the constant
+    # tenant column the light path elided from the exchange
+    batch = extract_batch(batch, tenant_id=tenant_id or DEFAULT_TENANT)
+    offsets = np.cumsum([0] + sizes)
+    assembled, stats = [], []
+    for lo, n in zip(offsets[:-1], sizes):
+        a, st = _drop_and_assemble(
+            batch.slice(lo, n),
+            max_turns_per_conv=max_turns_per_conv,
+            session_gap_us=session_gap_us,
+            drop_root_exits=drop_root_exits,
+            root_exit_exclusions=root_exit_exclusions,
+            latency_sample_pct=latency_sample_pct,
+            tenant_column=tenant_column,
+            rate_limit=rate_limit,
+        )
+        assembled.append(a)
+        stats.append(st)
+    whole = (
+        assembled[0]
+        if len(assembled) == 1
+        else pa.concat_tables(assembled, promote_options="default")
+    )
+    enriched = registry.apply(whole)
+    ctx = ConversationContext(enriched)
+    views = {name: builder(enriched, ctx) for name, builder in VIEW_BUILDERS.items()}
+    if len(tables) == 1:
+        per_part = [views]
+    else:
+        # hash partitioning makes conversation ids unique across the batch
+        conv_ids = [pc.unique(a["conv_id"]) for a in assembled]
+        part_of_conv = np.repeat(
+            np.arange(len(assembled)), [len(c) for c in conv_ids]
+        )
+        conv_ids = pa.concat_arrays(conv_ids)
+        split = {
+            name: _split_by_partition(tbl, conv_ids, part_of_conv, len(tables))
+            for name, tbl in views.items()
+        }
+        per_part = [
+            {name: split[name][i] for name in views} for i in range(len(tables))
+        ]
+    out = []
+    for v, st in zip(per_part, stats):
+        v["metrics_partial"] = partial_counts(v["per_turn"], metrics_window)
+        st["view_counts"] = {k: t.num_rows for k, t in v.items()}
+        out.append((v, st))
+    return out
 
 
 # Per-worker-process processor cache (the process-wide singleton
@@ -259,24 +382,43 @@ class PartitionProcessor:
         return pa.Table.from_pydict(row, schema=self.STATS_SCHEMA)
 
     def __call__(self, part: pa.Table, part_id: int) -> pa.Table:
-        existing = lineage.load_manifest(self.out_dir, part_id)
-        if existing is not None:
-            return self._stats_row(part_id, existing, resumed=True)
+        return self.process_batch([(part_id, part)])
 
-        cfg = self.config
-        views, stats = process_partition(
-            part,
-            registry=self.registry,
-            max_turns_per_conv=cfg.max_turns_per_conv,
-            session_gap_us=cfg.session_gap_us,
-            metrics_window=cfg.metrics_window,
-            drop_root_exits=cfg.drop_root_exits,
-            root_exit_exclusions=cfg.root_exit_exclusions,
-            latency_sample_pct=cfg.latency_sample_pct,
-            tenant_id=cfg.normalize.tenant_id,
-            tenant_column=cfg.normalize.tenant_column,
-            rate_limit=cfg.rate_limit,
-        )
+    def process_batch(self, parts) -> pa.Table:
+        """Partition stage over ``[(part_id, table), ...]`` (ascending
+        part ids) in one call: committed partitions are skipped, the rest
+        go through :func:`process_partitions` together, then each partition
+        is written and committed in turn — the partition stays the unit of
+        commit and resume.  Returns one stats row per partition."""
+        rows = {}
+        todo = []
+        for part_id, part in parts:
+            existing = lineage.load_manifest(self.out_dir, part_id)
+            if existing is not None:
+                rows[part_id] = self._stats_row(part_id, existing, resumed=True)
+            else:
+                todo.append((part_id, part))
+        if todo:
+            cfg = self.config
+            results = process_partitions(
+                [part for _, part in todo],
+                registry=self.registry,
+                max_turns_per_conv=cfg.max_turns_per_conv,
+                session_gap_us=cfg.session_gap_us,
+                metrics_window=cfg.metrics_window,
+                drop_root_exits=cfg.drop_root_exits,
+                root_exit_exclusions=cfg.root_exit_exclusions,
+                latency_sample_pct=cfg.latency_sample_pct,
+                tenant_id=cfg.normalize.tenant_id,
+                tenant_column=cfg.normalize.tenant_column,
+                rate_limit=cfg.rate_limit,
+            )
+            for (part_id, _), (views, stats) in zip(todo, results):
+                self._commit(part_id, views, stats)
+                rows[part_id] = self._stats_row(part_id, stats, resumed=False)
+        return pa.concat_tables([rows[part_id] for part_id, _ in parts])
+
+    def _commit(self, part_id: int, views: dict, stats: dict) -> None:
         checksums = {}
         for name, tbl in views.items():
             _, checksums[name] = lineage.write_view_part(
@@ -295,7 +437,15 @@ class PartitionProcessor:
                 "rows_rate_limited": stats["rows_rate_limited"],
             },
         )
-        return self._stats_row(part_id, stats, resumed=False)
+
+
+def _cached_processor(out_dir, config, peer_index, cache_key):
+    """The processor (registry + extras) built once per worker process."""
+    proc = _WORKER_PROCESSORS.get(cache_key)
+    if proc is None:
+        proc = PartitionProcessor(out_dir, config, peer_index)
+        _WORKER_PROCESSORS[cache_key] = proc
+    return proc
 
 
 def _partition_task(
@@ -307,13 +457,24 @@ def _partition_task(
     peer_index: Optional[Dict[str, str]],
     cache_key: str,
 ):
-    """Stateless-task form of the partition stage (default execution path);
-    the processor (registry + extras) is built once per worker process."""
-    proc = _WORKER_PROCESSORS.get(cache_key)
-    if proc is None:
-        proc = PartitionProcessor(out_dir, config, peer_index)
-        _WORKER_PROCESSORS[cache_key] = proc
-    return proc(part, part_id)
+    """Stateless-task form of the partition stage for one partition
+    (bucketed replay and the sort shuffle)."""
+    return _cached_processor(out_dir, config, peer_index, cache_key)(part, part_id)
+
+
+def _partition_batch_task(
+    parts,
+    *,
+    out_dir: str,
+    config: "PipelineConfig",
+    peer_index: Optional[Dict[str, str]],
+    cache_key: str,
+):
+    """Stateless-task form of the partition stage for one reduce batch of
+    the direct exchange (default execution path)."""
+    return _cached_processor(out_dir, config, peer_index, cache_key).process_batch(
+        parts
+    )
 
 
 DISTRIBUTED_METRICS_THRESHOLD = 64 * 1024 * 1024
@@ -610,27 +771,25 @@ def run_pipeline(
     # (the Pinot view-creator bootstrap job)
     _write_schema_manifest(out_dir)
 
+    import hashlib
+    from functools import partial
+
+    cache_key = hashlib.md5(
+        (out_dir + repr(config) + repr(sorted((peer_index or {}).items()))).encode()
+    ).hexdigest()
+    task_kwargs = dict(
+        out_dir=out_dir, config=config, peer_index=peer_index, cache_key=cache_key
+    )
+    stats_refs = None
     if bucketed_corpus is not None:
         if config.concurrency is not None:
             raise ValueError(
                 "bucketed replay supports the stateless-task path only "
                 "(config.concurrency must be None)"
             )
-        import hashlib
-        from functools import partial
-
         from ..stages.sinks import bucketed_group_apply
 
-        cache_key = hashlib.md5(
-            (out_dir + repr(config) + repr(sorted((peer_index or {}).items()))).encode()
-        ).hexdigest()
-        task = partial(
-            _partition_task,
-            out_dir=out_dir,
-            config=config,
-            peer_index=peer_index,
-            cache_key=cache_key,
-        )
+        task = partial(_partition_task, **task_kwargs)
 
         def _run_bucket(part: pa.Table, part_id: int) -> pa.Table:
             if part.num_rows == 0:  # hash range empty at bucketing time
@@ -643,25 +802,25 @@ def run_pipeline(
             sort_by=["turn_idx", "ts"],
             pass_part_id=True,
         )
-    elif config.concurrency is None:
-        # default: stateless tasks; processor cached per worker process
-        import hashlib
-        from functools import partial
-
-        cache_key = hashlib.md5(
-            (out_dir + repr(config) + repr(sorted((peer_index or {}).items()))).encode()
-        ).hexdigest()
-        fn = partial(
-            _partition_task,
-            out_dir=out_dir,
-            config=config,
-            peer_index=peer_index,
-            cache_key=cache_key,
+    elif (
+        config.concurrency is None
+        and resolve_shuffle(config.shuffle, config.num_partitions) == "direct"
+    ):
+        # default: stateless batch tasks over the direct exchange; small
+        # partitions share one reduce task (stages/grouping.py
+        # plan_reduce_batches), processor cached per worker process
+        stats_refs = group_apply_batches(
+            main,
+            "conv_id",
+            partial(_partition_batch_task, **task_kwargs),
+            sort_by=["turn_idx", "ts"],
+            num_partitions=config.num_partitions,
         )
+    elif config.concurrency is None:
         stats_ds = group_apply(
             main,
             "conv_id",
-            fn,
+            partial(_partition_task, **task_kwargs),
             pass_part_id=True,
             sort_by=["turn_idx", "ts"],
             num_partitions=config.num_partitions,
@@ -682,12 +841,19 @@ def run_pipeline(
             num_partitions=config.num_partitions,
             concurrency=config.concurrency,
         )
-    stats = stats_ds.to_pandas()  # one row per partition — small by design
+    # one row per partition — small by design; the batched path fetches the
+    # rows straight from its reduce tasks instead of through a dataset
+    if stats_refs is not None:
+        stats = pa.concat_tables(
+            ray.get(stats_refs) or [PartitionProcessor.STATS_SCHEMA.empty_table()]
+        ).to_pandas()
+        reduce_tasks = len(stats_refs)
+    else:
+        stats = stats_ds.to_pandas()
+        if stats.empty:  # every row dropped/filtered upstream
+            stats = PartitionProcessor.STATS_SCHEMA.empty_table().to_pandas()
+        reduce_tasks = len(stats)
     phases["main_stage"] = round(time.perf_counter() - t0, 2)
-    if stats.empty:  # every row dropped/filtered upstream
-        stats = (
-            PartitionProcessor.STATS_SCHEMA.empty_table().to_pandas()
-        )
 
     # bypass side output (SpanNormalizer.java:66-70 routed branch)
     if bypass is not None:
@@ -736,6 +902,7 @@ def run_pipeline(
     summary = {
         "elapsed_sec": elapsed,
         "num_partitions": len(stats),
+        "reduce_tasks": reduce_tasks,
         "resumed_partitions": int(stats["resumed"].sum()),
         "rows_in": total_rows_in,
         "rows_deduped": int(stats["rows_deduped"].sum()),

@@ -102,9 +102,14 @@ class _PartialTopK:
             # the smallest-id members of the tied set.  O(B) partition +
             # O(ties log ties) per query; Q is small by design (the query
             # matrix is a broadcast).
+            # A NaN component makes its scores NaN; NaN compares false both
+            # ways, so it would leave the row short of k picks.  Rank NaN as
+            # -inf (last, like the final merge's sort); the reported cosine
+            # stays NaN.
+            rank = np.where(np.isnan(sim), -np.inf, sim)
             top = np.empty((sim.shape[0], k), dtype=np.int64)
             for q in range(sim.shape[0]):
-                row = sim[q]
+                row = rank[q]
                 kth = np.partition(row, row.shape[0] - k)[row.shape[0] - k]
                 better = np.flatnonzero(row > kth)
                 need = k - len(better)

@@ -94,3 +94,57 @@ def test_serialize_map_sliced_offsets():
     assert out == ["c=3", "d=4;e=5"]
     # full array still key-sorts within rows
     assert serialize_map(m).to_pylist() == ["a=1;b=2", "c=3", "d=4;e=5"]
+
+
+def test_parse_query_params_order_independent_of_call_mates():
+    """A row's map must not depend on the other rows parsed in the same
+    call: entries are ordered by key string, so 'hdr' sorts before 'page'
+    whichever key the call saw first."""
+    from hypertrace_ingester_ray.functions.maps import parse_query_params
+
+    q = "page=1&tag=a&hdr=x&tag=b"
+    alone = parse_query_params(pa.array([q])).to_pylist()
+    mixed = parse_query_params(pa.array(["zz=1&page=2", q, "hdr=3"])).to_pylist()
+    assert mixed[1] == alone[0]
+    assert [k.rsplit(".", 1)[1] for k, _ in alone[0]] == ["hdr", "page", "tag"]
+    assert dict(alone[0])["http.request.query.param.tag"] == "a,b"
+
+
+def test_tags_independent_of_partition_mates():
+    """The same conversation processed alone and next to a conversation
+    with different query keys gives identical per_turn tags."""
+    from hypertrace_ingester_ray.enrichers import build_default_registry
+    from hypertrace_ingester_ray.pipelines.ingest import process_partition
+    from hypertrace_ingester_ray.stages.normalize import normalize_batch
+
+    def conv(cid, queries):
+        n = len(queries)
+        return pa.table(
+            {
+                "conv_id": pa.array([cid] * n, pa.string()),
+                "turn_idx": pa.array(range(n), pa.int32()),
+                "role": pa.array(["user"] * n, pa.string()),
+                "text": pa.array(
+                    [f"GET /api/v{i}?{q} HTTP/1.1 status=200 dur_ms=5 bytes=9"
+                     for i, q in enumerate(queries)],
+                    pa.string(),
+                ),
+                "tool": pa.array([None] * n, pa.string()),
+                "ts": pa.array([1000 + i for i in range(n)], pa.timestamp("us")),
+            }
+        )
+
+    target = conv("B", ["page=1&q=view&hdr=x", "stmt=s&page=2"])
+    # "A" sorts first, so its keys reach the dictionary before B's
+    mate = conv("A", ["stmt=1&zz=2&hdr=4", "body=b&q=v"])
+    registry = build_default_registry()
+
+    def tags_of_b(table):
+        views, _ = process_partition(normalize_batch(table), registry=registry)
+        pt = views["per_turn"]
+        return [t for c, t in zip(pt["conv_id"].to_pylist(),
+                                  pt["tags"].to_pylist()) if c == "B"]
+
+    alone = tags_of_b(target)
+    assert alone == tags_of_b(pa.concat_tables([mate, target]))
+    assert [k for k, _ in alone[0]] == sorted(k for k, _ in alone[0])

@@ -449,3 +449,38 @@ def test_knn_partial_topk_tie_break_by_id(ray_session):
     )
     out = kern(batch).to_pandas()
     assert out.neighbor_id.tolist() == [10, 20, 30]
+
+
+def test_knn_partial_topk_nan_vector_ranks_last(ray_session):
+    """A non-null embedding with a NaN component scores NaN against every
+    query; the batch-local top-k ranks it as -inf instead of coming up
+    short of k picks and raising."""
+    from hypertrace_ingester_ray.stages.similarity import _PartialTopK
+
+    D, K = 3, 3
+    mat = np.array(
+        [[1.0, 0.0, 0.0], [np.nan, 1.0, 0.0], [0.5, 0.5, 0.0], [0.0, 1.0, 0.0]]
+    )
+    ids = np.array([1, 2, 3, 4], dtype=np.int64)
+    batch = pa.table(
+        {
+            "vec_id": pa.array(ids),
+            "embedding": pa.FixedSizeListArray.from_arrays(
+                pa.array(mat.ravel(), pa.float32()), D
+            ),
+        }
+    )
+    kern = _PartialTopK(
+        {"ids": np.array([9]), "matrix": np.array([[1.0, 0.0, 0.0]])}, K,
+        "vec_id", "embedding",
+    )
+    out = kern(batch).to_pandas()
+    assert out.neighbor_id.tolist() == [1, 3, 4]
+    # with every candidate needed, the NaN one comes last, cosine kept NaN
+    kern4 = _PartialTopK(
+        {"ids": np.array([9]), "matrix": np.array([[1.0, 0.0, 0.0]])}, 4,
+        "vec_id", "embedding",
+    )
+    out4 = kern4(batch).to_pandas()
+    assert out4.neighbor_id.tolist() == [1, 3, 4, 2]
+    assert np.isnan(out4.cosine.iloc[-1])
