@@ -243,9 +243,6 @@ def _pipeline_out(sf_dir: str) -> str:
         tag = os.path.basename(os.path.normpath(sf_dir)) or "sf"
         out = f"/tmp/htr_entry/{tag}"
         shutil.rmtree(out, ignore_errors=True)
-        # concurrency=None → stateless-task path: safe at any CPU count the
-        # driver may have initialized Ray with (a fixed actor pool can starve
-        # the shuffle on small clusters)
         run_pipeline(
             transcripts_from_events(sf_dir),
             out,
@@ -2996,9 +2993,10 @@ def _order_line_join_sample(sf_dir: str):
             pc.multiply(t["l_orderkey"].cast(pa.int64()), 8),
             t["l_linenumber"].cast(pa.int64()),
         )
-        return t.append_column("samp_id", samp_id).append_column(
-            "w", t["l_quantity"].cast(pa.int64())
-        )
+        # CAST(double AS BIGINT) in the oracle rounds half to even; a plain
+        # safe cast would raise on any fractional quantity
+        w = pc.round(t["l_quantity"], round_mode="half_to_even").cast(pa.int64())
+        return t.append_column("samp_id", samp_id).append_column("w", w)
 
     sampled = corpus.weighted_sample(
         joined.map_batches(_prep, batch_format="pyarrow"),

@@ -3,7 +3,7 @@
 Examples (run from the repo root so workers can import the package):
 
   python -m hypertrace_ingester_ray.cli run \
-      --input /tmp/corpus --out /tmp/run1 --num-partitions 128 --concurrency 8
+      --input /tmp/corpus --out /tmp/run1 --num-partitions 128
 
   python -m hypertrace_ingester_ray.cli synth --out /tmp/corpus --n-convs 100000
 
@@ -39,7 +39,6 @@ def build_parser() -> argparse.ArgumentParser:
     # None sentinels so a --config file's values (or PipelineConfig's
     # defaults) are only overridden when a flag was explicitly passed
     run.add_argument("--num-partitions", type=int, default=None)
-    run.add_argument("--concurrency", type=int, default=None)
     run.add_argument("--max-turns-per-conv", type=int, default=None)
     run.add_argument("--session-gap-sec", type=float, default=None)
     run.add_argument("--num-cpus", type=int, default=None)
@@ -85,8 +84,6 @@ def pipeline_config_from_args(args):
         cfg = PipelineConfig()
     if args.num_partitions is not None:
         cfg.num_partitions = args.num_partitions
-    if getattr(args, "concurrency", None) is not None:
-        cfg.concurrency = args.concurrency
     if getattr(args, "max_turns_per_conv", None) is not None:
         cfg.max_turns_per_conv = args.max_turns_per_conv
     if getattr(args, "session_gap_sec", None) is not None:

@@ -12,8 +12,8 @@ Mirrors the reference's enrichment framework:
   trace (EnrichmentProcessor.java:73-154); here each enricher is applied in
   topo order over a whole *partition* of conversations, vectorized.
 - The processor is built once per worker and shared
-  (StructuredTraceEnrichProcessor.java:38-61) — in Ray: constructed in the
-  actor-pool ``__init__`` of the partition processor.
+  (StructuredTraceEnrichProcessor.java:38-61) — in Ray: cached per worker
+  process by the partition stage's stateless tasks.
 
 ``ConversationContext`` is the per-partition analog of
 ``StructuredTraceGraphBuilder`` (+ memoization,

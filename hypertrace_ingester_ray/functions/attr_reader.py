@@ -75,19 +75,26 @@ def _parse_long(s: str) -> Optional[int]:
     return None
 
 
-_JAVA_DOUBLE_RE = re.compile(r"^[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?$")
+# ASCII digits only: FloatingDecimal rejects other Unicode digits, which
+# Python's \d (and float()) would accept
+_JAVA_DOUBLE_RE = re.compile(
+    r"^[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?$", re.ASCII
+)
+_JAVA_TRIM_CHARS = "".join(map(chr, range(0x21)))
 
 
 def _parse_double(s: str) -> Optional[float]:
     """Double.parseDouble mirror: decimal syntax plus the case-sensitive
-    named values — NOT Python float(), which also accepts '1_0', 'inf',
-    'infinity' and 'nan' in any case (all rejected by the JVM)."""
-    t = s.strip()
+    named values with an optional sign — NOT Python float(), which also
+    accepts '1_0', 'inf', 'infinity' and 'nan' in any case (all rejected by
+    the JVM).  Trims like Java's ``String.trim``: only chars <= U+0020, so
+    a no-break space or other Unicode whitespace makes the value invalid."""
+    t = s.strip(_JAVA_TRIM_CHARS)
     if t in ("Infinity", "+Infinity"):
         return float("inf")
     if t == "-Infinity":
         return float("-inf")
-    if t == "NaN":
+    if t in ("NaN", "+NaN", "-NaN"):
         return float("nan")
     if _JAVA_DOUBLE_RE.match(t):
         try:

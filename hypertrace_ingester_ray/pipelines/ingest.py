@@ -30,8 +30,7 @@ drop, rate limit, root-exit drop) and assembly run per partition, so every
 manifest counter stays exact; each view is split back by ``conv_id`` and
 every partition gets its own metrics partial, sink files and manifest,
 byte-identical to processing it alone.  Partitions at or above the target
-run one per task, as before.  Bucketed replay, the sort shuffle and the
-actor pool keep one partition per call.
+run one per task.  Bucketed replay keeps one partition per call.
 
 The metrics aggregation mirrors the reference's metrics pipeline consuming
 the RawServiceView topic (hypertrace-metrics-generator/.../
@@ -66,9 +65,7 @@ from ..sources.transcripts import read_transcripts
 from ..stages.grouping import (
     DEFAULT_NUM_PARTITIONS,
     assemble_conversations,
-    group_apply,
     group_apply_batches,
-    resolve_shuffle,
 )
 from ..stages.filters import RateLimitConfig
 from ..stages.normalize import NormalizeConfig, normalize, split_bypass
@@ -84,20 +81,9 @@ class PipelineConfig:
     # MUST stay constant across resumes of the same out_dir (partition i of a
     # run always holds the same key-groups); guarded by _run_config.json
     num_partitions: int = DEFAULT_NUM_PARTITIONS
-    # None (default) → stateless tasks with a per-worker-process cached
-    # enricher registry: every CPU participates and there is no pool to size.
-    # Set an int/tuple to use an actor pool instead (the right shape when
-    # per-worker state is expensive to build — big models, large indexes);
-    # then leave CPUs free for the shuffle or it deadlocks.
-    concurrency: Union[int, tuple, None] = None
     # input read parallelism: ~2 blocks per CPU keeps per-task overhead low
     # while the shuffle stays balanced; None = derive from cluster CPUs
     read_num_blocks: Optional[int] = None
-    # exchange strategy for the one shuffle: None (auto) picks the direct
-    # two-stage hash exchange for the stateless path when num_partitions is
-    # within DIRECT_SHUFFLE_MAX_PARTITIONS, else Ray Data's sort shuffle
-    # (see stages/grouping.py:_direct_exchange for the rationale)
-    shuffle: Optional[str] = None
     service_registry: Optional[Dict[str, str]] = None
     metrics_window: str = "minute"
     # optional features (off by default, mirroring the reference's config
@@ -115,6 +101,10 @@ class PipelineConfig:
     # rows counted as rows_rate_limited in the manifest.  None = off
     # (mirrors the reference default).
     rate_limit: Optional["RateLimitConfig"] = None
+    # Not a field (no annotation, so not in __init__ or repr): the partition
+    # stage has one execution path.  Kept only because perfbench/traced.py
+    # reads ``cfg.concurrency``; delete it together with that read.
+    concurrency = None
 
 
 def process_partition(table: pa.Table, *, registry, **options):
@@ -333,11 +323,10 @@ def _build_extras(config: "PipelineConfig", peer_index: Optional[Dict[str, str]]
 class PartitionProcessor:
     """Partition stage: grouper + enricher + view fan-out + sinks.
 
-    Used two ways (see PipelineConfig.concurrency): instantiated per worker
-    process lazily by the stateless task path, or as an actor-pool callable
-    class.  Either way the enricher DAG and lookup registries are built once
-    per worker — the analog of the process-wide singleton EnrichmentProcessor
-    (StructuredTraceEnrichProcessor.java:38-61).
+    Built lazily once per worker process by the stateless tasks
+    (:func:`_cached_processor`), so the enricher DAG and lookup registries
+    are built once per worker — the analog of the process-wide singleton
+    EnrichmentProcessor (StructuredTraceEnrichProcessor.java:38-61).
     """
 
     STATS_SCHEMA = pa.schema(
@@ -448,20 +437,6 @@ def _cached_processor(out_dir, config, peer_index, cache_key):
     return proc
 
 
-def _partition_task(
-    part: pa.Table,
-    part_id: int,
-    *,
-    out_dir: str,
-    config: "PipelineConfig",
-    peer_index: Optional[Dict[str, str]],
-    cache_key: str,
-):
-    """Stateless-task form of the partition stage for one partition
-    (bucketed replay and the sort shuffle)."""
-    return _cached_processor(out_dir, config, peer_index, cache_key)(part, part_id)
-
-
 def _partition_batch_task(
     parts,
     *,
@@ -471,7 +446,7 @@ def _partition_batch_task(
     cache_key: str,
 ):
     """Stateless-task form of the partition stage for one reduce batch of
-    the direct exchange (default execution path)."""
+    the direct exchange."""
     return _cached_processor(out_dir, config, peer_index, cache_key).process_batch(
         parts
     )
@@ -780,35 +755,28 @@ def run_pipeline(
     task_kwargs = dict(
         out_dir=out_dir, config=config, peer_index=peer_index, cache_key=cache_key
     )
-    stats_refs = None
     if bucketed_corpus is not None:
-        if config.concurrency is not None:
-            raise ValueError(
-                "bucketed replay supports the stateless-task path only "
-                "(config.concurrency must be None)"
-            )
         from ..stages.sinks import bucketed_group_apply
-
-        task = partial(_partition_task, **task_kwargs)
 
         def _run_bucket(part: pa.Table, part_id: int) -> pa.Table:
             if part.num_rows == 0:  # hash range empty at bucketing time
                 return PartitionProcessor.STATS_SCHEMA.empty_table()
-            return task(part, part_id)
+            return _cached_processor(**task_kwargs)(part, part_id)
 
-        stats_ds = bucketed_group_apply(
+        stats = bucketed_group_apply(
             os.path.join(bucketed_corpus, "main"),
             _run_bucket,
             sort_by=["turn_idx", "ts"],
             pass_part_id=True,
-        )
-    elif (
-        config.concurrency is None
-        and resolve_shuffle(config.shuffle, config.num_partitions) == "direct"
-    ):
-        # default: stateless batch tasks over the direct exchange; small
-        # partitions share one reduce task (stages/grouping.py
-        # plan_reduce_batches), processor cached per worker process
+        ).to_pandas()
+        if stats.empty:  # every bucket empty
+            stats = PartitionProcessor.STATS_SCHEMA.empty_table().to_pandas()
+        reduce_tasks = len(stats)
+    else:
+        # stateless batch tasks over the direct exchange; small partitions
+        # share one reduce task (stages/grouping.py plan_reduce_batches),
+        # processor cached per worker process.  One stats row per
+        # partition, fetched straight from the reduce tasks.
         stats_refs = group_apply_batches(
             main,
             "conv_id",
@@ -816,43 +784,10 @@ def run_pipeline(
             sort_by=["turn_idx", "ts"],
             num_partitions=config.num_partitions,
         )
-    elif config.concurrency is None:
-        stats_ds = group_apply(
-            main,
-            "conv_id",
-            partial(_partition_task, **task_kwargs),
-            pass_part_id=True,
-            sort_by=["turn_idx", "ts"],
-            num_partitions=config.num_partitions,
-            shuffle=config.shuffle,
-        )
-    else:
-        stats_ds = group_apply(
-            main,
-            "conv_id",
-            fn_class=PartitionProcessor,
-            fn_constructor_kwargs={
-                "out_dir": out_dir,
-                "config": config,
-                "peer_index": peer_index,
-            },
-            pass_part_id=True,
-            sort_by=["turn_idx", "ts"],
-            num_partitions=config.num_partitions,
-            concurrency=config.concurrency,
-        )
-    # one row per partition — small by design; the batched path fetches the
-    # rows straight from its reduce tasks instead of through a dataset
-    if stats_refs is not None:
         stats = pa.concat_tables(
             ray.get(stats_refs) or [PartitionProcessor.STATS_SCHEMA.empty_table()]
         ).to_pandas()
         reduce_tasks = len(stats_refs)
-    else:
-        stats = stats_ds.to_pandas()
-        if stats.empty:  # every row dropped/filtered upstream
-            stats = PartitionProcessor.STATS_SCHEMA.empty_table().to_pandas()
-        reduce_tasks = len(stats)
     phases["main_stage"] = round(time.perf_counter() - t0, 2)
 
     # bypass side output (SpanNormalizer.java:66-70 routed branch)

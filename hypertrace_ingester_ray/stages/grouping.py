@@ -12,11 +12,13 @@ Ray-Data-native design — ``group_apply``:
 
 Instead of ``groupby(conv_id).map_groups(fn)`` (one Python call per
 conversation — billions of tiny calls at 10^12-turn scale), we hash the group
-key into ``num_partitions`` buckets and run ``groupby("_part").map_groups``.
-Each task then receives a whole *partition* containing only complete
-conversations, sorts it once, and processes every group in the partition with
-vectorized numpy segment operations (run-length boundaries).  Python overhead
-is O(partitions), not O(groups), while the shuffle volume is identical.
+key into ``num_partitions`` buckets and route them through one direct
+two-stage exchange (:func:`_direct_exchange`: map tasks emit hash-routed
+slices, reduce tasks consume whole partitions).  Each partition holds only
+complete conversations, is sorted once, and every group in it is processed
+with vectorized numpy segment operations (run-length boundaries).  Python
+overhead is O(partitions), not O(groups), while the shuffle volume is
+identical.
 
 Skew handling, two complementary mechanisms:
 - order/graph-scoped computations (enricher DAG, episode graphs) cannot be
@@ -197,11 +199,11 @@ def hot_key_counts(
             .rename_columns([key, "n"])
         )
 
-    # The global count-sum rides the repo's direct two-stage hash exchange
-    # (group_apply shuffle="direct"), not the Ray Data sort-based groupby:
-    # the histogram is one narrow (key, n) column pair, and at bench scale
-    # the sort-groupby's fixed costs (sample, sort, reduce scheduling) were
-    # ~the cost of the join being protected (BASELINE.md round-4 audit).
+    # The global count-sum rides group_apply's direct hash exchange, not a
+    # Ray Data sort-based groupby: the histogram is one narrow (key, n)
+    # column pair, and at bench scale the sort-groupby's fixed costs
+    # (sample, sort, reduce scheduling) were ~the cost of the join being
+    # protected (BASELINE.md round-4 audit).
     # Filter DISTRIBUTED, inside the reduce: at 10^12 turns the per-key
     # histogram has billions of rows, but the hot set (keys above
     # threshold) is tiny by definition — only it may be materialized.
@@ -297,17 +299,8 @@ def salted_group_apply(
 
 
 # ---------------------------------------------------------------------------
-# direct two-stage exchange (the fast path for moderate fan-out)
+# direct two-stage hash exchange
 # ---------------------------------------------------------------------------
-
-# Above this partition count the direct exchange degrades (map_tasks ×
-# partitions tiny objects — the classic quadratic-shuffle problem) and
-# group_apply falls back to Ray Data's sort-based shuffle, which merges
-# map outputs hierarchically.  512 × ~1k map blocks ≈ 500k objects is the
-# comfortable ceiling for one object store director.
-DIRECT_SHUFFLE_MAX_PARTITIONS = int(
-    os.environ.get("HTR_DIRECT_SHUFFLE_MAX_PARTS", "512")
-)
 
 # Shuffle compression (Spark-style): exchange slices travel as compressed
 # Arrow IPC instead of raw Arrow tables.  Trades map/reduce CPU for exchange
@@ -561,6 +554,12 @@ def _direct_exchange(ds, keys, batch_fn, *, order, num_partitions,
     (SpanNormalizer.java:72-80) is exactly this shape: producers write
     hash-routed slices, one consumer per partition.
 
+    Fan-out: the exchange makes map tasks × non-empty partitions objects
+    and has no partition ceiling.  On one node (1 CPU) it beat Ray Data's
+    sort shuffle at every size measured: 2,048 partitions over sf0.1 in
+    22 s against 44 s, 1,024 over sf0.01 in 5 s against 12 s.  Multi-node
+    behaviour at that fan-out has not been measured.
+
     Reduce batching: after the counts barrier the non-empty partitions are
     grouped into batches (:func:`plan_reduce_batches`, about
     ``REDUCE_BATCH_ROWS`` rows each, never fewer batches than cluster CPUs
@@ -613,43 +612,6 @@ def _direct_exchange(ds, keys, batch_fn, *, order, num_partitions,
     return out
 
 
-def _direct_group_apply(
-    ds, keys, fn, *, pass_part_id, order, num_partitions, identity=False
-):
-    """Direct hash exchange for ``group_apply`` (see :func:`_direct_exchange`
-    for the exchange and its reduce batches).  Small partitions share a
-    reduce task, but the user fn still runs once per partition inside it and
-    each partition's output is its own block (a multi-return task), so the
-    caller sees the same dataset as with one task per partition."""
-    from functools import partial
-
-    import ray.data as _rd
-
-    refs = _direct_exchange(
-        ds,
-        keys,
-        partial(_apply_per_partition, fn, pass_part_id),
-        order=order,
-        num_partitions=num_partitions,
-        identity=identity,
-        per_partition_returns=True,
-    )
-    if not refs:
-        return _rd.from_arrow([])
-    return _rd.from_arrow_refs(refs)
-
-
-def resolve_shuffle(shuffle, num_partitions, *, stateless=True) -> str:
-    """The exchange ``group_apply`` runs: ``shuffle`` if given, else
-    ``"direct"`` for a stateless fn within the partition ceiling, else
-    ``"sort"``."""
-    if shuffle is not None:
-        return shuffle
-    if stateless and num_partitions <= DIRECT_SHUFFLE_MAX_PARTITIONS:
-        return "direct"
-    return "sort"
-
-
 def group_apply_batches(
     ds: Dataset,
     key: Union[str, Sequence[str]],
@@ -673,40 +635,15 @@ def group_apply_batches(
     )
 
 
-class _PartitionRunner:
-    """map_groups callable-class wrapper: sorts the partition, strips the
-    partition column, instantiates the user's processor once per actor
-    (the JVM-singleton-per-worker analog of
-    StructuredTraceEnrichProcessor.java:38-61)."""
-
-    def __init__(self, inner_cls, ctor_kwargs, order, pass_part_id):
-        self.inner = inner_cls(**(ctor_kwargs or {}))
-        self.order = order
-        self.pass_part_id = pass_part_id
-
-    def __call__(self, part: pa.Table) -> pa.Table:
-        part_id = int(part[PART_COL][0].as_py()) if part.num_rows else -1
-        part = part.drop_columns([PART_COL]).sort_by(
-            [(c, "ascending") for c in self.order]
-        )
-        if self.pass_part_id:
-            return self.inner(part, part_id)
-        return self.inner(part)
-
-
 def group_apply(
     ds: Dataset,
     key: Union[str, Sequence[str]],
-    fn: Optional[Callable[[pa.Table], pa.Table]] = None,
+    fn: Callable[[pa.Table], pa.Table],
     *,
-    fn_class: Optional[type] = None,
-    fn_constructor_kwargs: Optional[dict] = None,
     pass_part_id: bool = False,
     sort_by: Optional[Sequence[str]] = None,
     num_partitions: int = DEFAULT_NUM_PARTITIONS,
-    shuffle: Optional[str] = None,
     identity_partition: bool = False,
-    **map_groups_kwargs,
 ) -> Dataset:
     """Apply a partition processor to hash partitions of complete ``key``-groups.
 
@@ -714,76 +651,35 @@ def group_apply(
     that contains every row of every key-group assigned to the partition — the
     vectorized analog of the reference's per-trace processing loop
     (TraceEmitPunctuator.java:116-196), amortized over many groups per call.
+    ``fn(table)``, or ``fn(table, part_id)`` with ``pass_part_id``, runs once
+    per non-empty partition in a stateless task; state that is expensive to
+    build belongs in a per-worker-process cache (the flagship's
+    ``pipelines.ingest._cached_processor``).
 
-    Pass either ``fn`` (stateless task) or ``fn_class`` (+ ``concurrency=`` in
-    ``map_groups_kwargs``) for an actor-pool stage with per-worker state.
-
-    ``shuffle`` picks the exchange: ``"direct"`` = two-stage raw-task hash
-    exchange (fastest for ≤ DIRECT_SHUFFLE_MAX_PARTITIONS partitions),
-    ``"sort"`` = Ray Data sort-based groupby (scales to unbounded fan-out,
-    required for the ``fn_class`` actor-pool path).  Default (None) =
-    ``"direct"`` for stateless ``fn`` within the partition ceiling, else
-    ``"sort"``.  Both produce identical partitions (same hash, same order).
+    The exchange is :func:`_direct_exchange`.  Small partitions share a
+    reduce task, but each partition's output is its own block (a
+    multi-return task), so the result has one block per non-empty partition.
+    With ``identity_partition`` the first key column already holds the
+    partition id in ``[0, num_partitions)`` (range partitioning) and is not
+    hashed.
     """
+    from functools import partial
+
+    import ray.data as _rd
+
     keys = [key] if isinstance(key, str) else list(key)
-    order = keys + list(sort_by or [])
-
-    shuffle = resolve_shuffle(
-        shuffle,
-        num_partitions,
-        stateless=fn_class is None and not map_groups_kwargs,
+    refs = _direct_exchange(
+        ds,
+        keys,
+        partial(_apply_per_partition, fn, pass_part_id),
+        order=keys + list(sort_by or []),
+        num_partitions=num_partitions,
+        identity=identity_partition,
+        per_partition_returns=True,
     )
-    if identity_partition and shuffle != "direct":
-        raise ValueError(
-            "identity_partition requires the direct exchange "
-            "(stateless fn, num_partitions <= DIRECT_SHUFFLE_MAX_PARTITIONS)"
-        )
-    if shuffle == "direct":
-        if fn_class is not None:
-            raise ValueError("shuffle='direct' supports the stateless fn path only")
-        return _direct_group_apply(
-            ds,
-            keys,
-            fn,
-            pass_part_id=pass_part_id,
-            order=order,
-            num_partitions=num_partitions,
-            identity=identity_partition,
-        )
-
-    ds = ds.map_batches(
-        add_part_column,
-        batch_format="pyarrow",
-        fn_kwargs={"key": keys, "num_partitions": num_partitions},
-    )
-
-    if fn_class is not None:
-        # bind the ctor args into the CLASS (cloudpickled inline with the
-        # task spec) instead of fn_constructor_kwargs: Ray Data ships actor
-        # constructor kwargs through the object store, which triggers the
-        # ray#53727 restart warning (lost-ref restarts would fail)
-        bound = (fn_class, fn_constructor_kwargs, order, pass_part_id)
-
-        class _BoundRunner(_PartitionRunner):
-            def __init__(self):
-                super().__init__(*bound)
-
-        return ds.groupby(PART_COL).map_groups(
-            _BoundRunner,
-            batch_format="pyarrow",
-            **map_groups_kwargs,
-        )
-
-    def _run(part: pa.Table) -> pa.Table:
-        part_id = int(part[PART_COL][0].as_py()) if part.num_rows else -1
-        part = part.drop_columns([PART_COL]).sort_by([(c, "ascending") for c in order])
-        if pass_part_id:
-            return fn(part, part_id)
-        return fn(part)
-
-    return ds.groupby(PART_COL).map_groups(
-        _run, batch_format="pyarrow", **map_groups_kwargs
-    )
+    if not refs:
+        return _rd.from_arrow([])
+    return _rd.from_arrow_refs(refs)
 
 
 # ---------------------------------------------------------------------------

@@ -354,7 +354,6 @@ def write_range_partitioned(
         pass_part_id=True,
         num_partitions=n_parts,
         identity_partition=True,
-        shuffle="direct",
     ).to_pandas()
 
     zone_map = {

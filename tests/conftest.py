@@ -36,6 +36,6 @@ def pipeline_out(tmp_path_factory, sf_dir, ray_session):
     summary = run_pipeline(
         transcripts_from_events(sf_dir),
         out,
-        PipelineConfig(num_partitions=8, concurrency=2),
+        PipelineConfig(num_partitions=8),
     )
     return out, summary

@@ -234,7 +234,6 @@ def test_identity_partition_out_of_range_raises(ray_session):
             lambda t: t,
             num_partitions=4,
             identity_partition=True,
-            shuffle="direct",
         ).to_pandas()
 
 

@@ -188,43 +188,51 @@ def test_hot_key_counts_filters_distributed(ray_session):
     assert hot == {"whale": 500}
 
 
-def test_direct_vs_sort_shuffle_parity(ray_session):
-    """The direct two-stage exchange must produce the exact same partitions
-    (same hash assignment, same sorted row order) as the sort shuffle."""
+def test_group_apply_partitions_match_hash_oracle(ray_session):
+    """Each partition ``group_apply`` hands to ``fn`` holds exactly the rows
+    ``add_part_column`` assigns to it, all of them in one call, sorted by
+    ``[key, *sort_by]`` — at a small fan-out and above 512 partitions."""
     import ray.data
 
+    from hypertrace_ingester_ray.stages.grouping import PART_COL, add_part_column
+
+    n = 4000
     t = pa.table(
         {
-            "conv_id": pa.array([f"c{i % 53}" for i in range(2000)], pa.string()),
-            "turn_idx": pa.array([i % 11 for i in range(2000)], pa.int32()),
-            "v": pa.array(list(range(2000)), pa.int64()),
+            "conv_id": pa.array([f"c{i % 997}" for i in range(n)], pa.string()),
+            "turn_idx": pa.array([(i * 7) % 11 for i in range(n)], pa.int32()),
+            "v": pa.array(list(range(n)), pa.int64()),  # unique row id
         }
     )
 
     def tag(part: pa.Table, part_id: int) -> pa.Table:
-        # record (part_id, row order) so both paths can be compared exactly
+        # record (part_id, row order) so both can be checked per row
         return part.append_column(
             "part_id", pa.array([part_id] * part.num_rows, pa.int32())
-        ).append_column(
-            "pos", pa.array(list(range(part.num_rows)), pa.int64())
-        )
+        ).append_column("pos", pa.array(np.arange(part.num_rows), pa.int64()))
 
-    outs = {}
-    for shuffle in ("direct", "sort"):
+    for num_partitions in (7, 600):
         ds = ray.data.from_arrow(t).repartition(6)
-        res = group_apply(
+        got = group_apply(
             ds,
             "conv_id",
             tag,
             pass_part_id=True,
             sort_by=["turn_idx", "v"],
-            num_partitions=7,
-            shuffle=shuffle,
+            num_partitions=num_partitions,
         ).to_pandas()
-        outs[shuffle] = res.sort_values(["conv_id", "turn_idx", "v"]).reset_index(
-            drop=True
+        assert len(got) == n and got["v"].is_unique
+        oracle = (
+            add_part_column(t, "conv_id", num_partitions)
+            .to_pandas()
+            .set_index("v")[PART_COL]
         )
-    pd.testing.assert_frame_equal(outs["direct"], outs["sort"])
+        assert (got["part_id"].to_numpy() == oracle.loc[got["v"]].to_numpy()).all()
+        for _, rows in got.groupby("part_id"):
+            rows = rows.sort_values("pos")
+            assert rows["pos"].tolist() == list(range(len(rows)))
+            expect = rows.sort_values(["conv_id", "turn_idx", "v"])
+            assert rows["v"].tolist() == expect["v"].tolist()
 
 
 def test_direct_shuffle_multi_key(ray_session):
@@ -247,9 +255,7 @@ def test_direct_shuffle_multi_key(ray_session):
             .rename_columns(["k1", "k2", "v_sum"])
         )
 
-    out = group_apply(
-        ds, ["k1", "k2"], per_part, num_partitions=4, shuffle="direct"
-    ).to_pandas()
+    out = group_apply(ds, ["k1", "k2"], per_part, num_partitions=4).to_pandas()
     assert len(out) == 5  # (a,1) (a,2) (b,1) (b,2) (c,1)
     expect = (
         t.to_pandas().groupby(["k1", "k2"])["v"].sum().reset_index(name="v_sum")
@@ -258,20 +264,6 @@ def test_direct_shuffle_multi_key(ray_session):
     pd.testing.assert_frame_equal(
         merged, expect.sort_values(["k1", "k2"]).reset_index(drop=True)
     )
-
-
-def test_direct_shuffle_rejects_fn_class(ray_session):
-    import pytest as _pytest
-    import ray.data
-
-    ds = ray.data.from_arrow(pa.table({"k": ["a"], "v": [1]}))
-
-    class P:
-        def __call__(self, part):
-            return part
-
-    with _pytest.raises(ValueError):
-        group_apply(ds, "k", fn_class=P, num_partitions=2, shuffle="direct")
 
 
 def test_cogroup_keyed_set_difference(ray_session):

@@ -70,7 +70,7 @@ def test_rerun_resumes_all_partitions(pipeline_out, sf_dir):
     s2 = run_pipeline(
         transcripts_from_events(sf_dir),
         out,
-        PipelineConfig(num_partitions=8, concurrency=2),
+        PipelineConfig(num_partitions=8),
     )
     assert s2["resumed_partitions"] == s2["num_partitions"]
     assert s2["view_counts"] == summary["view_counts"]
@@ -81,7 +81,7 @@ def test_kill_resume_no_dup_no_missing(tmp_path, sf_dir):
     partitions (as if they never committed) and resume — routed rows must be
     identical to a clean run."""
     out = str(tmp_path / "killrun")
-    cfg = PipelineConfig(num_partitions=8, concurrency=2)
+    cfg = PipelineConfig(num_partitions=8)
     s1 = run_pipeline(transcripts_from_events(sf_dir), out, cfg)
 
     # destroy the commit record AND data of partitions 0..3 (simulated crash
@@ -99,6 +99,33 @@ def test_kill_resume_no_dup_no_missing(tmp_path, sf_dir):
     pt = view_dataset(out, "per_turn").to_pandas()
     assert len(pt) == s1["view_counts"]["per_turn"]
     assert not pt.duplicated(["conv_id", "turn_idx"]).any()
+
+
+def test_wide_fan_out_matches_eight_partitions(pipeline_out, sf_dir, tmp_path):
+    """600 partitions (above the exchange's old 512-partition ceiling) route
+    the same rows as the shared 8-partition run."""
+    out8, s8 = pipeline_out
+    out600 = str(tmp_path / "p600")
+    s600 = run_pipeline(
+        transcripts_from_events(sf_dir), out600, PipelineConfig(num_partitions=600)
+    )
+    assert s600["view_counts"] == s8["view_counts"]
+    key = ["conv_id", "turn_idx"]
+    rows = [
+        view_dataset(o, "per_turn").to_pandas().sort_values(key).reset_index(drop=True)
+        for o in (out8, out600)
+    ]
+    pd.testing.assert_frame_equal(rows[0], rows[1])
+
+
+def test_pipeline_config_has_one_execution_path():
+    import dataclasses
+
+    names = {f.name for f in dataclasses.fields(PipelineConfig)}
+    assert not names & {"concurrency", "shuffle"}
+    assert PipelineConfig().concurrency is None
+    with pytest.raises(TypeError):
+        PipelineConfig(concurrency=2)
 
 
 def test_metrics_totals(pipeline_out):

@@ -390,6 +390,92 @@ def test_parse_double_java_semantics():
         assert _parse_double(bad) is None, bad
 
 
+def test_parse_double_signed_nan():
+    from hypertrace_ingester_ray.functions.attr_reader import _parse_double
+
+    for s in ("+NaN", "-NaN", " -NaN "):
+        v = _parse_double(s)
+        assert v != v, s
+    for bad in ("+-NaN", "NaN+", "-nan"):
+        assert _parse_double(bad) is None, bad
+
+
+def test_parse_double_trims_like_java_string_trim():
+    """String.trim drops only chars <= U+0020; any other whitespace stays
+    in the string and makes Double.parseDouble reject it."""
+    from hypertrace_ingester_ray.functions.attr_reader import _parse_double
+
+    assert _parse_double(" \t1.5\n\r") == 1.5
+    assert _parse_double("\x00\x1f2.5\x01") == 2.5
+    for bad in ("1.5\u00a0", "\u20032", "\u30001", "1\u2028", "\u0661\u0662"):
+        assert _parse_double(bad) is None, repr(bad)
+
+
+def test_order_line_join_sample_fractional_quantity_matches_duckdb(tmp_path):
+    """Fractional l_quantity: the sample weight rounds half to even, as the
+    oracle's CAST(double AS BIGINT) does, instead of failing the cast."""
+    import datetime
+
+    import duckdb
+    import pyarrow.parquet as pq
+
+    import __ray_entry__ as entry
+
+    n = 160
+    frac = [0.5, 0.25, 0.75, 0.0]
+    pq.write_table(
+        pa.table(
+            {
+                "l_orderkey": pa.array([i // 4 for i in range(n)], pa.int64()),
+                "l_linenumber": pa.array([i % 4 + 1 for i in range(n)], pa.int32()),
+                "l_quantity": pa.array(
+                    [1 + i % 29 + frac[i % 4] for i in range(n)], pa.float64()
+                ),
+            }
+        ),
+        tmp_path / "lineitem.parquet",
+    )
+    pq.write_table(
+        pa.table(
+            {
+                "o_orderkey": pa.array(range(n // 4), pa.int64()),
+                "o_orderdate": pa.array(
+                    [datetime.date(1995, 1, 1 + k % 28) for k in range(n // 4)],
+                    pa.date32(),
+                ),
+            }
+        ),
+        tmp_path / "orders.parquet",
+    )
+    got = entry.queries()["order_line_join_sample"](str(tmp_path)).to_pandas()
+    con = duckdb.connect()
+    for t in ("lineitem", "orders"):
+        con.sql(
+            f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{tmp_path}/{t}.parquet')"
+        )
+    want = con.sql(entry.oracle_sql()["order_line_join_sample"]).df()
+    cols = ["samp_id", "l_orderkey", "l_linenumber", "o_orderdate", "w"]
+
+    def rows(df):
+        return sorted(
+            tuple(
+                str(v)[:10] if c == "o_orderdate" else int(v)
+                for c, v in zip(cols, r)
+            )
+            for r in df[cols].itertuples(index=False)
+        )
+
+    assert len(got) == 40
+    assert rows(got) == rows(want)
+    # Python's round() is half to even too; the sample must hold .5 rows
+    qty = {
+        i // 4 * 8 + i % 4 + 1: 1 + i % 29 + frac[i % 4] for i in range(n)
+    }
+    picked = [(qty[int(s)], int(w)) for s, w in zip(got["samp_id"], got["w"])]
+    assert all(w == round(q) for q, w in picked)
+    assert any(q % 1 == 0.5 for q, _ in picked)
+
+
 def test_projector_rejects_column_collision():
     import pytest as _pytest
 
