@@ -567,7 +567,7 @@ def _order_priority_revenue(sf_dir: str):
     import pyarrow.compute as pc
     import ray.data
 
-    from hypertrace_ingester_ray.stages.joins import hash_join
+    from hypertrace_ingester_ray.stages.joins import cogroup_join
 
     li = _rpq(
         os.path.join(sf_dir, "lineitem.parquet"),
@@ -577,7 +577,7 @@ def _order_priority_revenue(sf_dir: str):
         os.path.join(sf_dir, "orders.parquet"),
         columns=["o_orderkey", "o_orderpriority"],
     )
-    j = hash_join(li, od, on=["l_orderkey"], right_on=["o_orderkey"], num_partitions=16)
+    j = cogroup_join(li, od, on=["l_orderkey"], right_on=["o_orderkey"], num_partitions=16)
     names = ["o_orderpriority", "revenue_cents", "num_items"]
     from hypertrace_ingester_ray.stages.grouping import (
         fill_null_keys,
@@ -2978,7 +2978,7 @@ def _order_line_join_sample(sf_dir: str):
         os.path.join(sf_dir, "orders.parquet"),
         columns=["o_orderkey", "o_orderdate"],
     )
-    joined = joins.hash_join(
+    joined = joins.cogroup_join(
         li, orders, on=["l_orderkey"], right_on=["o_orderkey"],
         num_partitions=8,
     )
@@ -3012,12 +3012,16 @@ def _order_line_join_sample(sf_dir: str):
 def _top_customers_by_revenue(sf_dir: str):
     """TPC-H Q10 analog: lineitem ⋈ orders (big-big hash join) → per-customer
     discounted revenue (per-batch partial combine, then a customer-keyed
-    sum), customer/nation names attached via broadcast lookups, top 10."""
+    sum), customer/nation names attached by one broadcast table join, top
+    10."""
     import pyarrow as pa
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
 
-    from hypertrace_ingester_ray.stages.joins import broadcast_join, hash_join
+    from hypertrace_ingester_ray.stages.joins import (
+        broadcast_table_join,
+        cogroup_join,
+    )
 
     li = _rpq(
         os.path.join(sf_dir, "lineitem.parquet"),
@@ -3027,7 +3031,7 @@ def _top_customers_by_revenue(sf_dir: str):
         os.path.join(sf_dir, "orders.parquet"),
         columns=["o_orderkey", "o_custkey"],
     )
-    j = hash_join(li, od, on=["l_orderkey"], right_on=["o_orderkey"], num_partitions=16)
+    j = cogroup_join(li, od, on=["l_orderkey"], right_on=["o_orderkey"], num_partitions=16)
 
     def _partial(batch: pa.Table) -> pa.Table:
         cents = pc.cast(
@@ -3065,16 +3069,13 @@ def _top_customers_by_revenue(sf_dir: str):
     nation = pq.read_table(
         os.path.join(sf_dir, "nation.parquet"), columns=["n_nationkey", "n_name"]
     )
-    nn = dict(zip(nation["n_nationkey"].to_pylist(), nation["n_name"].to_pylist()))
-    names = dict(zip(cust["c_custkey"].to_pylist(), cust["c_name"].to_pylist()))
-    nations = {
-        ck: nn.get(nk)
-        for ck, nk in zip(
-            cust["c_custkey"].to_pylist(), cust["c_nationkey"].to_pylist()
-        )
-    }
-    out = broadcast_join(agg, names, key="o_custkey", value_col="c_name")
-    out = broadcast_join(out, nations, key="o_custkey", value_col="n_name")
+    named = cust.join(
+        nation, keys="c_nationkey", right_keys="n_nationkey",
+        join_type="left outer",
+    ).select(["c_custkey", "c_name", "n_name"])
+    out = broadcast_table_join(
+        agg, named, on=["o_custkey"], right_on=["c_custkey"], how="left_outer"
+    )
     return out.sort(["revenue_cents", "o_custkey"], descending=[True, False]).limit(10)
 
 

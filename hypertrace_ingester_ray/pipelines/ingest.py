@@ -109,9 +109,10 @@ class PipelineConfig:
 
 def process_partition(table: pa.Table, *, registry, **options):
     """Pure core: normalized partition (sorted by conv_id, turn_idx, ts) →
-    (views dict, stats dict).  Shared by the sink-writing actor and tests;
-    the one-partition case of :func:`process_partitions`, which documents
-    ``options``.
+    (views dict, stats dict), with no sink writes.  The one-partition case
+    of :func:`process_partitions` (which documents ``options`` and is what
+    ``PartitionProcessor`` runs before writing sinks); tests call it to
+    check views in-process.
 
     The views dict includes ``metrics_partial`` — the per-partition combiner
     of the windowed metric aggregation (A1).  The final combine over these

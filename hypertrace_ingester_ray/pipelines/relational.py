@@ -13,7 +13,7 @@ engines and would break value-hash comparison against the DuckDB oracle.
 from __future__ import annotations
 
 import os
-from typing import Dict, Sequence
+from typing import Sequence
 
 import numpy as np
 import pyarrow as pa
@@ -103,38 +103,36 @@ def lineitem_pricing_summary(sf_dir: str) -> Dataset:
 
 
 def revenue_by_nation(sf_dir: str) -> Dataset:
-    """Broadcast hash join: orders ⋈ customer ⋈ nation (small sides broadcast
-    via ray.put, probed per batch) → revenue per nation."""
+    """orders ⋈ customer ⋈ nation → revenue per nation.  Nation is
+    broadcast onto customer (:func:`broadcast_table_join`), then orders are
+    inner-joined with the named customers by :func:`auto_join`, which
+    broadcasts them too while they are small; both joins are inner, as in
+    the SQL."""
     import pyarrow.parquet as pq
 
-    cust = pq.read_table(
-        os.path.join(sf_dir, "customer.parquet"), columns=["c_custkey", "c_nationkey"]
-    )
+    from ..stages.joins import auto_join, broadcast_table_join
+
     nation = pq.read_table(
         os.path.join(sf_dir, "nation.parquet"), columns=["n_nationkey", "n_name"]
     )
-    nation_names = dict(
-        zip(nation["n_nationkey"].to_pylist(), nation["n_name"].to_pylist())
+    cust = broadcast_table_join(
+        _read(sf_dir, "customer", ["c_custkey", "c_nationkey"]),
+        nation,
+        on=["c_nationkey"],
+        right_on=["n_nationkey"],
     )
-    cust_nation = {
-        ck: nation_names.get(nk)
-        for ck, nk in zip(
-            cust["c_custkey"].to_pylist(), cust["c_nationkey"].to_pylist()
-        )
-    }
-    lookup_ref = ray.put(cust_nation)
+    joined = auto_join(
+        _read(sf_dir, "orders", ["o_custkey", "o_totalprice"]),
+        cust,
+        on=["o_custkey"],
+        right_on=["c_custkey"],
+    )
     names = ["n_name", "revenue_cents", "num_orders"]
 
-    def _probe(batch: pa.Table) -> pa.Table:
-        # stateless task; broadcast dict fetched zero-copy in-task (no actor
-        # pool → no ObjectRef-ctor restart hazard ray#53727, no worker cap)
-        lookup: Dict[int, str] = ray.get(lookup_ref)
-        keys = batch["o_custkey"].to_numpy(zero_copy_only=False)
-        uniq, inverse = np.unique(keys, return_inverse=True)
-        mapped = np.array([lookup.get(int(u)) for u in uniq], dtype=object)
+    def _partial(batch: pa.Table) -> pa.Table:
         t = pa.table(
             {
-                "n_name": pa.array(mapped[inverse], pa.string()),
+                "n_name": batch["n_name"],
                 "revenue_cents": _cents(batch["o_totalprice"]),
             }
         )
@@ -144,8 +142,7 @@ def revenue_by_nation(sf_dir: str) -> Dataset:
             .rename_columns(names)
         )
 
-    orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
-    partials = orders.map_batches(_probe, batch_format="pyarrow")
+    partials = joined.map_batches(_partial, batch_format="pyarrow")
     agg = partials.groupby("n_name").sum(["revenue_cents", "num_orders"])
     return agg.map_batches(lambda b: b.rename_columns(names), batch_format="pyarrow")
 
@@ -270,9 +267,9 @@ def shipping_priority_q3(
         sf_dir, "lineitem", ["l_orderkey", "l_extendedprice", "l_discount", "l_shipdate"]
     ).map_batches(_li, batch_format="pyarrow")
 
-    from ..stages.joins import hash_join
+    from ..stages.joins import cogroup_join
 
-    joined = hash_join(
+    joined = cogroup_join(
         li,
         orders,
         on=["l_orderkey"],
@@ -303,7 +300,7 @@ def customer_order_counts(
 ) -> Dataset:
     """LEFT OUTER join coverage: every customer with the count of orders
     placed before ``before`` — customers with none keep a zero row (the
-    null-extended side of Ray's left_outer join).  Count = non-null keys,
+    null-extended side of the left_outer join).  Count = non-null keys,
     partial-aggregated per batch after the join."""
     cutoff_us = np.datetime64(before, "us")
 
@@ -318,9 +315,9 @@ def customer_order_counts(
     ).map_batches(_early, batch_format="pyarrow")
     cust = _read(sf_dir, "customer", ["c_custkey"])
 
-    from ..stages.joins import hash_join
+    from ..stages.joins import cogroup_join
 
-    joined = hash_join(
+    joined = cogroup_join(
         cust,
         orders,
         on=["c_custkey"],

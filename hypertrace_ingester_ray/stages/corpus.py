@@ -956,17 +956,23 @@ def weighted_sample(
 
     Scale shape: each batch keeps only its local top-k before the global
     sort-limit, so the sort input is ``k × num_blocks`` rows, not the
-    corpus.  Weights must be positive int64 (raises loudly otherwise)."""
+    corpus.  Weights are non-negative int64 (raises loudly otherwise); a
+    zero-weight row has no priority (SQL's ``x // 0`` is NULL, sorted
+    last), so it ranks after every positive-weight row, ties by id."""
 
     def _local(batch: pa.Table) -> pa.Table:
         if batch[weight_col].null_count:  # no weight → no draw priority
             batch = batch.filter(pc.is_valid(batch[weight_col]))
         ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.uint64)
         w = batch[weight_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        if len(w) and w.min() <= 0:
-            raise ValueError("weighted_sample: weights must be positive")
+        if len(w) and w.min() < 0:
+            raise ValueError("weighted_sample: weights must not be negative")
         ticket = ((ids * _SAMPLE_K) % _MOD32).astype(np.int64)
-        pri = ticket * pri_scale // w
+        # ticket < 2^32, so with pri_scale < 2^31 every positive-weight
+        # priority stays below int64 max, the zero-weight rank
+        pri = np.full(len(w), np.iinfo(np.int64).max)
+        pos = w > 0
+        pri[pos] = ticket[pos] * pri_scale // w[pos]
         batch = batch.append_column("_pri", pa.array(pri))
         if batch.num_rows > k:
             # tie-break by id like the global sort: argpartition on pri

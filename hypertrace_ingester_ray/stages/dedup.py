@@ -753,7 +753,7 @@ def connected_components(
     at least one pair — singletons are their own component by definition and
     are handled by :func:`canonical_docs` without entering the loop.
     """
-    from .joins import hash_join
+    from .joins import cogroup_join
 
     # symmetrize once: (u,v) and (v,u) — each edge pushes labels both ways
     def _sym(batch: pa.Table) -> pa.Table:
@@ -777,7 +777,7 @@ def connected_components(
 
     for _ in range(max_iters):
         # message pass: edge (u,v) ships label[u] to v; v keeps its own too
-        msgs = hash_join(
+        msgs = cogroup_join(
             edges,
             labels,
             on=("u",),
@@ -842,7 +842,7 @@ def canonical_docs(
     materialization of anything corpus-sized — the duplicate set at 100 TB
     can be half the corpus, so it is NEVER collected or broadcast.
     """
-    from .joins import hash_join
+    from .joins import cogroup_join
 
     comp = connected_components(
         pairs,
@@ -851,7 +851,7 @@ def canonical_docs(
         max_iters=max_iters,
         num_partitions=num_partitions,
     )
-    joined = hash_join(
+    joined = cogroup_join(
         docs,
         comp,
         on=(id_col,),

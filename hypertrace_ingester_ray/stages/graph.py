@@ -289,7 +289,7 @@ def pagerank(
         """Direct hash exchange: per-block map tasks, each returning P
         key-complete slices (+ the count vector, unused here)."""
         return [
-            map_remote.remote(br, keys, P, "", False)
+            map_remote.remote(br, keys, P)
             for bundle in ds.iter_internal_ref_bundles()
             for br in bundle.block_refs
         ]

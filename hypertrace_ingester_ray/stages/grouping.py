@@ -18,7 +18,9 @@ slices, reduce tasks consume whole partitions).  Each partition holds only
 complete conversations, is sorted once, and every group in it is processed
 with vectorized numpy segment operations (run-length boundaries).  Python
 overhead is O(partitions), not O(groups), while the shuffle volume is
-identical.
+identical.  The same exchange, with the same reduce batches, carries
+``group_apply_batches`` (the flagship) and the two-input ``cogroup`` that
+every co-shuffle join builds on; slices travel as plain Arrow tables.
 
 Skew handling, two complementary mechanisms:
 - order/graph-scoped computations (enricher DAG, episode graphs) cannot be
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 import os
 import zlib
+from functools import partial
 from typing import Callable, Dict, Optional, Sequence, Union
 
 import numpy as np
@@ -302,102 +305,7 @@ def salted_group_apply(
 # direct two-stage hash exchange
 # ---------------------------------------------------------------------------
 
-# Shuffle compression (Spark-style): exchange slices travel as compressed
-# Arrow IPC instead of raw Arrow tables.  Trades map/reduce CPU for exchange
-# bytes.  Single-box A/B (BASELINE.md round 3): LOSES locally — the plasma
-# "exchange" is a shared-memory copy, so bytes are already cheap and the
-# codec steals cycles (32-CPU e2e: none 2.48M turns/s, lz4 2.17M, zstd
-# 1.96M).  On a multi-node cluster the exchange crosses NICs (10-25 Gb/s ≪
-# memory bandwidth) and compression is the standard win (Spark defaults to
-# lz4); flip HTR_SHUFFLE_COMPRESSION=lz4 there.  Values: "lz4" | "zstd" |
-# "" (off, local default) | "auto" (probe once per process: stay off on a
-# single node, and on a multi-node cluster pick lz4 only if the wire time
-# saved on the first exchanged block beats the codec cost — see
-# resolve_shuffle_compression).
-SHUFFLE_COMPRESSION = os.environ.get("HTR_SHUFFLE_COMPRESSION", "")
-
-# one decision per process: the workload's compressibility doesn't change
-# between exchanges, and flip-flopping codecs would defeat lineage replay
-_RESOLVED_COMPRESSION: Optional[str] = None
-
-
-def decide_shuffle_compression(
-    num_alive_nodes: int,
-    sample: Optional[pa.Table],
-    nic_gbps: float,
-) -> str:
-    """Pure decision rule for ``HTR_SHUFFLE_COMPRESSION=auto``.
-
-    Single node → off: the plasma "exchange" is a shared-memory copy, so the
-    codec only steals cycles (measured A/B in BASELINE.md).  Multi-node →
-    compress iff the wire seconds saved by shrinking the sample block exceed
-    the measured compress+decompress seconds (the Spark-style bytes-vs-CPU
-    trade, resolved empirically instead of by default)."""
-    if num_alive_nodes <= 1:
-        return ""
-    if sample is None or sample.num_rows == 0:
-        return "lz4"  # nothing to measure; lz4 is the safe wire default
-    import time as _time
-
-    raw_bytes = sample.nbytes
-    t0 = _time.perf_counter()
-    buf = _ipc_compress(sample, "lz4")
-    t1 = _time.perf_counter()
-    _ipc_decompress(buf)
-    t2 = _time.perf_counter()
-    codec_s = (t1 - t0) + (t2 - t1)
-    wire_saved_s = max(0, raw_bytes - len(buf)) * 8.0 / (nic_gbps * 1e9)
-    return "lz4" if wire_saved_s > codec_s else ""
-
-
-def resolve_shuffle_compression(sample_block_ref=None) -> str:
-    """Resolve the effective shuffle codec, probing once per process when
-    HTR_SHUFFLE_COMPRESSION=auto.  ``sample_block_ref`` is an ObjectRef to
-    the first map-side block (a same-node plasma read — cheap); the probe
-    samples its first 65 536 rows.  NIC bandwidth can't be measured from
-    inside a task, so it comes from HTR_NIC_GBPS (default 10, a typical
-    cloud NIC)."""
-    global _RESOLVED_COMPRESSION
-    if SHUFFLE_COMPRESSION != "auto":
-        return SHUFFLE_COMPRESSION
-    if _RESOLVED_COMPRESSION is not None:
-        return _RESOLVED_COMPRESSION
-    import ray as _ray
-
-    try:
-        alive = sum(1 for n in _ray.nodes() if n.get("Alive"))
-    except Exception:
-        alive = 1
-    sample = None
-    if alive > 1 and sample_block_ref is not None:
-        try:
-            block = _ray.get(sample_block_ref)
-            if not isinstance(block, pa.Table):
-                from ray.data.block import BlockAccessor
-
-                block = BlockAccessor.for_block(block).to_arrow()
-            sample = block.slice(0, 65536)
-        except Exception:
-            sample = None
-    nic_gbps = float(os.environ.get("HTR_NIC_GBPS", "10"))
-    _RESOLVED_COMPRESSION = decide_shuffle_compression(alive, sample, nic_gbps)
-    return _RESOLVED_COMPRESSION
-
-
-def _ipc_compress(t: pa.Table, codec: str) -> pa.Buffer:
-    sink = pa.BufferOutputStream()
-    opts = pa.ipc.IpcWriteOptions(compression=codec)
-    with pa.ipc.new_stream(sink, t.schema, options=opts) as w:
-        w.write_table(t)
-    return sink.getvalue()
-
-
-def _ipc_decompress(buf) -> pa.Table:
-    with pa.ipc.open_stream(buf) as r:
-        return r.read_all()
-
-
-def _shuffle_map_fn(block, keys, num_partitions, compression="", identity=False):
+def _shuffle_map_fn(block, keys, num_partitions, identity=False):
     """Map side of the direct exchange: split one input block into
     ``num_partitions`` key-complete slices (+ a per-partition row-count
     vector the driver uses to skip empty partitions without fetching data).
@@ -433,20 +341,10 @@ def _shuffle_map_fn(block, keys, num_partitions, compression="", identity=False)
     sorted_t = t.take(pa.array(order_idx))
     bounds = np.searchsorted(part[order_idx], np.arange(num_partitions + 1))
     counts = np.diff(bounds)
-    if compression:
-        out = [
-            _ipc_compress(
-                sorted_t.slice(lo, hi - lo).drop_columns([PART_COL]), compression
-            )
-            if hi > lo
-            else None
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-        ]
-    else:
-        out = [
-            sorted_t.slice(lo, hi - lo).drop_columns([PART_COL]) if hi > lo else None
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-        ]
+    out = [
+        sorted_t.slice(lo, hi - lo).drop_columns([PART_COL]) if hi > lo else None
+        for lo, hi in zip(bounds[:-1], bounds[1:])
+    ]
     out.append(counts)
     return tuple(out)
 
@@ -495,16 +393,14 @@ def plan_reduce_batches(counts, target_rows=REDUCE_BATCH_ROWS, min_batches=1):
     return batches
 
 
-def _concat_sort(order, tables) -> pa.Table:
-    """One partition's reduce input: its slices from every map task
-    (IPC-compressed ones decompressed), concatenated and sorted once by the
-    full group/order key."""
-    tables = [
-        _ipc_decompress(t) if isinstance(t, pa.Buffer) else t
-        for t in tables
-        if t is not None
-    ]
-    tables = [t for t in tables if t.num_rows]
+def _concat_sort(order, tables, schema=None) -> pa.Table:
+    """One side of one partition's reduce input: its slices from every map
+    task, concatenated and sorted once by the full group/order key.  A side
+    with no rows in the partition comes back as ``schema``'s typed empty
+    table."""
+    tables = [t for t in tables if t is not None and t.num_rows]
+    if not tables and schema is not None:
+        return schema.empty_table()
     t = pa.concat_tables(tables, promote_options="default")
     if order:
         # sort_by's take compacts the chunked result — no combine_chunks copy
@@ -519,30 +415,36 @@ def _shuffle_reduce_fn(fn, order, pass_part_id, part_id, *tables):
     return fn(t, part_id) if pass_part_id else fn(t)
 
 
-def _shuffle_reduce_batch_fn(batch_fn, order, part_ids, *tables):
-    """Reduce side for a batch of partitions: ``tables`` holds each
-    partition's map slices in turn (the same number per partition);
-    ``batch_fn`` receives ``[(part_id, sorted table), ...]`` in ascending
-    partition order."""
-    n = len(tables) // len(part_ids)
-    return batch_fn(
-        [
-            (p, _concat_sort(order, tables[i * n : (i + 1) * n]))
-            for i, p in enumerate(part_ids)
-        ]
-    )
+def _shuffle_reduce_batch_fn(batch_fn, orders, schemas, n_maps, part_ids,
+                             *tables):
+    """Reduce side for a batch of partitions: ``tables`` holds, partition by
+    partition, each input's map slices in turn (``n_maps[s]`` of them for
+    input ``s``).  ``batch_fn`` receives ``[(part_id, side_0, side_1, ...),
+    ...]`` in ascending partition order, side ``s`` sorted by
+    ``orders[s]`` — ``[(part_id, table), ...]`` for a one-input exchange."""
+    parts, i = [], 0
+    for p in part_ids:
+        sides = []
+        for order, schema, n in zip(orders, schemas, n_maps):
+            sides.append(_concat_sort(order, tables[i : i + n], schema))
+            i += n
+        parts.append((p, *sides))
+    return batch_fn(parts)
 
 
 def _apply_per_partition(fn, pass_part_id, parts):
     """``batch_fn`` of the generic direct exchange: the user fn once per
-    partition, one output per partition (a one-partition batch returns its
-    output bare, as a single-return task must)."""
-    outs = tuple(fn(t, p) if pass_part_id else fn(t) for p, t in parts)
+    partition over its sides, one output per partition (a one-partition
+    batch returns its output bare, as a single-return task must)."""
+    outs = tuple(
+        fn(*sides, p) if pass_part_id else fn(*sides) for p, *sides in parts
+    )
     return outs if len(outs) > 1 else outs[0]
 
 
-def _direct_exchange(ds, keys, batch_fn, *, order, num_partitions,
-                     identity=False, per_partition_returns=False):
+def _direct_exchange(inputs, keys, batch_fn, *, orders, num_partitions,
+                     schemas=None, identity=False,
+                     per_partition_returns=False):
     """Two-stage raw-task hash exchange, bypassing the sort-shuffle machinery.
 
     Why: Ray Data's sort-based ``groupby().map_groups`` costs ~1.8 s on the
@@ -554,24 +456,33 @@ def _direct_exchange(ds, keys, batch_fn, *, order, num_partitions,
     (SpanNormalizer.java:72-80) is exactly this shape: producers write
     hash-routed slices, one consumer per partition.
 
+    Inputs: ``inputs`` is a list of datasets hashed by the same ``keys``
+    (one for :func:`group_apply`, two for :func:`cogroup`); ``orders[s]``
+    is input ``s``'s sort key and ``schemas[s]`` (optional) the typed empty
+    table it takes in a partition where it has no rows.  Every input is
+    mapped with the same hash, so a key lands on the same partition id on
+    every side.
+
     Fan-out: the exchange makes map tasks × non-empty partitions objects
     and has no partition ceiling.  On one node (1 CPU) it beat Ray Data's
     sort shuffle at every size measured: 2,048 partitions over sf0.1 in
     22 s against 44 s, 1,024 over sf0.01 in 5 s against 12 s.  Multi-node
     behaviour at that fan-out has not been measured.
 
-    Reduce batching: after the counts barrier the non-empty partitions are
-    grouped into batches (:func:`plan_reduce_batches`, about
-    ``REDUCE_BATCH_ROWS`` rows each, never fewer batches than cluster CPUs
-    while partitions allow) and each batch runs as ONE reduce task.  Many
-    small partitions otherwise pay a task launch, an argument fetch and the
-    consumer's fixed per-call cost each — the reducer's unit of work is
-    separated from the key partition (FP-Hadoop, VLDB'15).  Large inputs
-    (partitions at or above the target) keep one task per partition.
+    Reduce batching: after the counts barrier (row counts summed over all
+    inputs) the non-empty partitions are grouped into batches
+    (:func:`plan_reduce_batches`, about ``REDUCE_BATCH_ROWS`` rows each,
+    never fewer batches than cluster CPUs while partitions allow) and each
+    batch runs as ONE reduce task.  Many small partitions otherwise pay a
+    task launch, an argument fetch and the consumer's fixed per-call cost
+    each — the reducer's unit of work is separated from the key partition
+    (FP-Hadoop, VLDB'15).  Large inputs (partitions at or above the target)
+    keep one task per partition.
 
-    Returns one ObjectRef per batch holding ``batch_fn``'s output, or with
-    ``per_partition_returns`` a flat list with one ref per non-empty
-    partition (the batch task then has one return per partition).
+    Returns ``(refs, map_refs)``: one ObjectRef per batch holding
+    ``batch_fn``'s output, or with ``per_partition_returns`` a flat list
+    with one ref per non-empty partition (the batch task then has one
+    return per partition); and the map tasks' refs, one list per input.
 
     Streaming: map tasks launch as upstream blocks materialize
     (``iter_internal_ref_bundles`` is a streaming iterator); the reduce
@@ -583,33 +494,32 @@ def _direct_exchange(ds, keys, batch_fn, *, order, num_partitions,
     map_remote = _ray.remote(num_returns=num_partitions + 1)(_shuffle_map_fn)
     reduce_remote = _ray.remote(_shuffle_reduce_batch_fn)
 
-    compression = SHUFFLE_COMPRESSION
-    map_refs = []
-    for bundle in ds.iter_internal_ref_bundles():
-        for block_ref in bundle.block_refs:
-            if compression == "auto":
-                # probe on the first materialized block, once per process;
-                # later blocks (and later exchanges) reuse the decision
-                compression = resolve_shuffle_compression(block_ref)
-            map_refs.append(
-                map_remote.remote(
-                    block_ref, keys, num_partitions, compression, identity
-                )
-            )
-    if not map_refs:
-        return []
+    map_refs = [
+        [
+            map_remote.remote(block_ref, keys, num_partitions, identity)
+            for bundle in ds.iter_internal_ref_bundles()
+            for block_ref in bundle.block_refs
+        ]
+        for ds in inputs
+    ]
+    all_maps = [r for side in map_refs for r in side]
+    if not all_maps:
+        return [], map_refs
     # counts are tiny (P int64s per map task); fetching them blocks until all
     # maps finish — which is exactly when reduces become runnable anyway
-    counts = np.sum(_ray.get([r[num_partitions] for r in map_refs]), axis=0)
+    counts = np.sum(_ray.get([r[num_partitions] for r in all_maps]), axis=0)
     cpus = int(_ray.cluster_resources().get("CPU", 1))
+    n_maps = [len(side) for side in map_refs]
+    schemas = schemas or [None] * len(inputs)
     out = []
     for batch in plan_reduce_batches(counts, REDUCE_BATCH_ROWS, cpus):
         n_returns = len(batch) if per_partition_returns else 1
         refs = reduce_remote.options(num_returns=n_returns).remote(
-            batch_fn, order, batch, *[r[p] for p in batch for r in map_refs]
+            batch_fn, orders, schemas, n_maps, batch,
+            *[r[p] for p in batch for side in map_refs for r in side],
         )
         out.extend(refs if n_returns > 1 else [refs])
-    return out
+    return out, map_refs
 
 
 def group_apply_batches(
@@ -626,13 +536,14 @@ def group_apply_batches(
     :func:`group_apply` hands it to ``fn``.  Returns the ObjectRefs of the
     batch outputs (fetch them with ``ray.get``), one per reduce task."""
     keys = [key] if isinstance(key, str) else list(key)
-    return _direct_exchange(
-        ds,
+    refs, _ = _direct_exchange(
+        [ds],
         keys,
         batch_fn,
-        order=keys + list(sort_by or []),
+        orders=[keys + list(sort_by or [])],
         num_partitions=num_partitions,
     )
+    return refs
 
 
 def group_apply(
@@ -663,16 +574,14 @@ def group_apply(
     partition id in ``[0, num_partitions)`` (range partitioning) and is not
     hashed.
     """
-    from functools import partial
-
     import ray.data as _rd
 
     keys = [key] if isinstance(key, str) else list(key)
-    refs = _direct_exchange(
-        ds,
+    refs, _ = _direct_exchange(
+        [ds],
         keys,
         partial(_apply_per_partition, fn, pass_part_id),
-        order=keys + list(sort_by or []),
+        orders=[keys + list(sort_by or [])],
         num_partitions=num_partitions,
         identity=identity_partition,
         per_partition_returns=True,
@@ -825,28 +734,6 @@ def restore_null_keys(batch: pa.Table, keys) -> pa.Table:
 # ---------------------------------------------------------------------------
 
 
-def _cogroup_reduce_fn(
-    fn, order_l, order_r, schema_l, schema_r, part_id, n_left, *tables
-):
-    def _concat(slices, order, schema):
-        ts = [
-            _ipc_decompress(t) if isinstance(t, pa.Buffer) else t
-            for t in slices
-            if t is not None
-        ]
-        ts = [t for t in ts if t.num_rows]
-        if not ts:
-            return schema.empty_table()
-        t = pa.concat_tables(ts, promote_options="default")
-        if order:
-            return t.sort_by([(c, "ascending") for c in order])
-        return t.combine_chunks()
-
-    left = _concat(tables[:n_left], order_l, schema_l)
-    right = _concat(tables[n_left:], order_r, schema_r)
-    return fn(left, right)
-
-
 def cogroup(
     left,
     right,
@@ -869,9 +756,12 @@ def cogroup(
     Anything expressible as per-key logic over two keyed inputs — keyed set
     difference, per-key stream alignment, interval matching with custom
     semantics — composes from it with the vectorized run-length kernels.
-    ONE exchange per side (same hash → same partition ids, so matching keys
-    are guaranteed co-located); nothing is broadcast, so BOTH sides may be
-    corpus-sized.  Same ``key`` columns must exist in both inputs.
+    Both sides ride ONE :func:`_direct_exchange` (same hash → same
+    partition ids, so matching keys are guaranteed co-located); nothing is
+    broadcast, so BOTH sides may be corpus-sized.  Same ``key`` columns
+    must exist in both inputs.  Small partitions share a reduce task, but
+    each partition's output is its own block, so the result has one block
+    per non-empty partition.
 
     Zero-row inputs: Ray loses the schema of an empty dataset after any
     transform (``ds.schema()`` → None), so a certainly-empty side cannot
@@ -882,7 +772,6 @@ def cogroup(
     when keys match, e.g. local joins), and when BOTH sides are schema-less
     the result is an untyped empty dataset.
     """
-    import ray as _ray
     import ray.data as _rd
 
     keys = [key] if isinstance(key, str) else list(key)
@@ -938,48 +827,21 @@ def cogroup(
         else:
             schema_r = synth
 
-    map_remote = _ray.remote(num_returns=num_partitions + 1)(_shuffle_map_fn)
-    reduce_remote = _ray.remote(_cogroup_reduce_fn)
-
-    def _map_side(ds):
-        refs = []
-        for bundle in ds.iter_internal_ref_bundles():
-            for block_ref in bundle.block_refs:
-                refs.append(
-                    map_remote.remote(
-                        block_ref, keys, num_partitions, SHUFFLE_COMPRESSION
-                    )
-                )
-        return refs
-
-    refs_l, refs_r = _map_side(left), _map_side(right)
-    if not refs_l and not refs_r:
+    refs, map_refs = _direct_exchange(
+        [left, right],
+        keys,
+        partial(_apply_per_partition, fn, False),
+        orders=[order_l, order_r],
+        num_partitions=num_partitions,
+        schemas=[schema_l, schema_r],
+        per_partition_returns=True,
+    )
+    if not refs:
         return _rd.from_arrow([])
-    counts = np.zeros(num_partitions, dtype=np.int64)
-    for side in (refs_l, refs_r):
-        if side:
-            counts += np.sum(
-                _ray.get([r[num_partitions] for r in side]), axis=0
-            )
-    reduce_refs = [
-        reduce_remote.remote(
-            fn,
-            order_l,
-            order_r,
-            schema_l,
-            schema_r,
-            p,
-            len(refs_l),
-            *[r[p] for r in refs_l],
-            *[r[p] for r in refs_r],
-        )
-        for p in range(num_partitions)
-        if counts[p] > 0
-    ]
-    out = _rd.from_arrow_refs(reduce_refs)
+    out = _rd.from_arrow_refs(refs)
     # pin the map-side slice refs to the result dataset's lifetime: dropping
     # them at function exit races Ray-core's submitted-task ref bookkeeping
     # under heavy long-session churn (observed reference_count.cc /
     # task_manager.cc check failures ~115 queries into one session)
-    out._htr_cogroup_keepalive = (refs_l, refs_r)
+    out._htr_cogroup_keepalive = map_refs
     return out

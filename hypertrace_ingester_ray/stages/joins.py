@@ -4,11 +4,13 @@ The reference's only joins are broadcast lookups against cached entity
 services (SURVEY.md §2.9 J1/J2) — no shuffle/sort-merge/as-of joins exist
 there.  A complete engine needs them, so this module adds:
 
-- ``broadcast_join`` — the canonical small-side pattern: build a dict once,
-  ``ray.put`` it, probe per batch (generalizes the EntityCache lookup,
+- ``broadcast_table_join`` — the canonical small-side pattern: ``ray.put``
+  a small Arrow table once and join each batch against it locally
+  (generalizes the EntityCache lookup,
   /root/reference/hypertrace-trace-enricher/.../cache/EntityCache.java).
-- ``hash_join`` — distributed hash join for two large sides, delegating to
-  Ray Data's native hash-shuffle join.
+- ``cogroup_join`` — distributed hash join for two large sides: both sides
+  ride ``grouping.cogroup``'s direct hash exchange (reduce batches
+  included) and each partition is joined locally with ``pyarrow``.
 - ``asof_join`` — for each left row, the latest right row with
   ``right.ts <= left.ts`` within the same key: both sides are tagged,
   unioned, hash-partitioned by key with the same ``group_apply`` primitive
@@ -19,7 +21,7 @@ there.  A complete engine needs them, so this module adds:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 import pyarrow as pa
@@ -30,83 +32,6 @@ import ray.data
 from ray.data import Dataset
 
 from .grouping import cogroup, group_apply, run_boundaries
-
-
-def broadcast_join(
-    ds: Dataset,
-    lookup: Dict,
-    *,
-    key: str,
-    value_col: str,
-    default=None,
-) -> Dataset:
-    """Attach ``value_col`` = lookup[row[key]] via a broadcast dict.
-
-    Stateless-task shape: the dict is ``ray.put`` once and fetched zero-copy
-    inside each task (the knn_bruteforce pattern) — no actor pool, so no
-    ObjectRef-constructor-arg restart hazard (ray#53727) and no artificial
-    worker cap.  Null keys map to ``default``.
-    """
-    ref = ray.put(lookup)
-
-    def _probe(batch: pa.Table) -> pa.Table:
-        table = ray.get(ref)
-        # probe once per DISTINCT key, then fan back out with a take —
-        # the Python dict lookup runs |uniq| times, not |batch| times.
-        # dictionary_encode handles null keys natively (null index).
-        enc = batch[key].combine_chunks().dictionary_encode()
-        uniq = enc.dictionary.to_pylist()
-        mapped = pa.array([table.get(k, default) for k in uniq])
-        taken = mapped.take(enc.indices)  # null index → null output
-        if default is not None and taken.null_count:
-            taken = pc.fill_null(taken, default)
-        return batch.append_column(value_col, taken)
-
-    return ds.map_batches(_probe, batch_format="pyarrow")
-
-
-def hash_join(
-    left: Dataset,
-    right: Dataset,
-    *,
-    on: Sequence[str],
-    right_on: Optional[Sequence[str]] = None,
-    how: str = "inner",
-    num_partitions: int = 32,
-    native: bool = False,
-) -> Dataset:
-    """Distributed hash join (both sides large → co-shuffle by key).
-
-    Delegates to :func:`cogroup_join` (the repo's schema-explicit direct
-    exchange + local pyarrow join): measured 3-5x faster than Ray's native
-    hash-shuffle operator on the sf0.1 lineitem×orders workload
-    (interleaved A/B: cogroup 1.5-2.4 s vs native 6.4-12.4 s at 16 CPUs)
-    AND safe on empty/chained inputs, where the native operator loses a
-    side's schema and fails at finalize with ``ArrowInvalid: No match ...
-    FieldRef`` (both on a zero-row input table and intermittently when a
-    chained join's partition arrives empty).  ``native=True`` reaches
-    Ray's built-in operator for comparison.
-
-    Note one schema nuance: for ``right_outer`` with ``right_on`` named
-    differently, the native operator keeps the right key's name while the
-    cogroup path coalesces keys under the LEFT name (values identical).
-    """
-    if native:
-        return left.join(
-            right,
-            how,
-            num_partitions,
-            on=tuple(on),
-            right_on=tuple(right_on) if right_on else None,
-        )
-    return cogroup_join(
-        left,
-        right,
-        on=on,
-        right_on=right_on,
-        how=how,
-        num_partitions=num_partitions,
-    )
 
 
 _COGROUP_JOIN_TYPES = {
@@ -130,19 +55,20 @@ def cogroup_join(
     left_schema: Optional[pa.Schema] = None,
     right_schema: Optional[pa.Schema] = None,
 ) -> Dataset:
-    """Distributed hash join built on :func:`cogroup`: one explicit hash
-    exchange per side, then a LOCAL ``pyarrow.Table.join`` per partition
+    """Distributed hash join built on :func:`cogroup`: one hash exchange
+    over both sides, then a LOCAL ``pyarrow.Table.join`` per partition
     (matching keys are co-located by construction, so the union of the
     per-partition local joins IS the global join).
 
-    Exists alongside :func:`hash_join` (Ray's native join operator) because
-    the native operator loses the left-side schema when a partition of a
-    CHAINED join (join whose input is another join's output) receives zero
-    rows — a race that intermittently raises ``ArrowInvalid: No match ...
-    FieldRef`` at finalize.  The cogroup exchange carries both schemas
-    explicitly and builds typed empty tables for empty partitions, so this
-    variant is safe to chain and safe on arbitrarily sparse keys.  Use it
-    whenever a join input may itself be a streamed join output.
+    The engine's one co-shuffle join.  Ray's native join operator is not
+    used: it loses the left-side schema when a partition of a CHAINED join
+    (join whose input is another join's output) receives zero rows — a
+    race that intermittently raises ``ArrowInvalid: No match ... FieldRef``
+    at finalize — and it was 3-5x slower on sf0.1 lineitem×orders.  The
+    cogroup exchange carries both schemas explicitly and builds typed empty
+    tables for empty partitions, so this join is safe to chain and safe on
+    arbitrarily sparse keys.  For ``right_outer`` with a differently named
+    ``right_on``, keys are coalesced under the LEFT name.
 
     ``left_schema``/``right_schema``: explicit schema fallbacks for a side
     that may arrive EMPTY with an unrecoverable schema (Ray drops the
@@ -539,7 +465,7 @@ def broadcast_semi_join(
     The small side is ``ray.put`` once as an Arrow array and the probe is a
     single vectorized ``is_in`` per batch — the right shape whenever one
     side fits in memory (eval sets, blocklists, id samples).  For two large
-    sides use ``hash_join`` with a post-filter instead.  Null keys are
+    sides use ``cogroup_join`` (``left_semi``/``left_anti``) instead.  Null keys are
     never "in" the set: they are dropped by the semi join and kept by the
     anti join (SQL ``IN`` / ``NOT IN`` with a null-free list)."""
     arr = keys if isinstance(keys, (pa.Array, pa.ChunkedArray)) else pa.array(keys)
@@ -671,7 +597,7 @@ def skew_join(
         left, on, threshold=hot_threshold, sample_rate=sample_rate
     )
     if not hot:
-        return hash_join(
+        return cogroup_join(
             left, right, on=[on], right_on=[right_on], num_partitions=num_partitions
         )
     hot_keys = pa.array(sorted(hot.keys()))
@@ -682,7 +608,7 @@ def skew_join(
         mask = pc.is_in(batch[col], value_set=keys)
         return batch.filter(mask if keep_hot else pc.invert(mask))
 
-    cold = hash_join(
+    cold = cogroup_join(
         left.map_batches(
             _split, batch_format="pyarrow", fn_kwargs={"col": on, "keep_hot": False}
         ),
@@ -884,9 +810,8 @@ def broadcast_table_join(
     how: str = "inner",
 ) -> Dataset:
     """Join a Dataset against a SMALL in-memory table broadcast once via
-    ``ray.put`` — the general (multi-column payload, multi-key) form of
-    :func:`broadcast_join`'s dict probe.  Each task joins its batch locally,
-    so there is NO exchange and the left side streams.
+    ``ray.put`` (multi-column payload, multi-key).  Each task joins its
+    batch locally, so there is NO exchange and the left side streams.
 
     Only left-preserving join types are batch-local-correct (an unmatched
     RIGHT row can't be detected inside one batch), so right/full outer

@@ -502,9 +502,9 @@ def test_weighted_sample_deterministic_and_exact(ray_session):
             .tolist()
         )
         assert out == exp
-    with pytest.raises(Exception, match="positive"):
+    with pytest.raises(Exception, match="negative"):
         bad = pa.table(
-            {"doc_id": pa.array([1, 2]), "w": pa.array([3, 0])}
+            {"doc_id": pa.array([1, 2]), "w": pa.array([3, -1])}
         )
         corpus.weighted_sample(
             ray.data.from_arrow(bad), weight_col="w", k=1

@@ -35,18 +35,18 @@ def lr(tmp_path):
 
 
 def test_hash_join_empty_sides(ray_session, lr):
-    from hypertrace_ingester_ray.stages.joins import hash_join
+    from hypertrace_ingester_ray.stages.joins import cogroup_join
 
     lt, rt, tmp = lr
     left = ray.data.from_arrow(lt)
     empty_r = _empty_like(rt, tmp, "r")
-    out = hash_join(left, empty_r, on=["k"], num_partitions=4)
+    out = cogroup_join(left, empty_r, on=["k"], num_partitions=4)
     assert out.count() == 0
     # inner join vs empty right: typed empty carrying the left columns
     # (checked on the dataset schema: Ray's to_pandas drops columns of an
     # all-empty dataset)
     assert set(out.schema().names) >= {"k", "lv"}
-    out2 = hash_join(
+    out2 = cogroup_join(
         _empty_like(lt, tmp, "l"), ray.data.from_arrow(rt), on=["k"], num_partitions=4
     ).to_pandas()
     assert len(out2) == 0

@@ -305,7 +305,22 @@ def test_cogroup_keyed_set_difference(ray_session):
     assert out["n"].tolist() == exp.values.tolist()
 
 
-def test_cogroup_empty_side(ray_session):
+def _spy_reduce_batches(monkeypatch):
+    """Record every batch plan the direct exchange makes on the driver."""
+    from hypertrace_ingester_ray.stages import grouping
+
+    plans = []
+    real = grouping.plan_reduce_batches
+
+    def spy(*args, **kwargs):
+        plans.append(real(*args, **kwargs))
+        return plans[-1]
+
+    monkeypatch.setattr(grouping, "plan_reduce_batches", spy)
+    return plans
+
+
+def test_cogroup_empty_side(ray_session, monkeypatch):
     import pandas as pd
     import pyarrow as pa
     import ray.data
@@ -328,3 +343,85 @@ def test_cogroup_empty_side(ray_session):
         num_partitions=3,
     ).to_pandas()
     assert sorted(out["k"].tolist()) == [1, 1, 2]
+
+    # a reduce batch holding several partitions, some with no right rows:
+    # those get the typed empty right table, and each partition is still
+    # its own fn call
+    plans = _spy_reduce_batches(monkeypatch)
+    left = pa.table({"k": pa.array(range(40), pa.int64()),
+                     "v": pa.array(range(40), pa.float64())})
+    right = pa.table({"k": pa.array([0, 1, 2], pa.int64()),
+                      "w": pa.array([7, 8, 9], pa.int64())})
+    right_schema = right.schema
+
+    def count_sides(lt: pa.Table, rt: pa.Table) -> pa.Table:
+        assert rt.schema.equals(right_schema)
+        return pa.table({"n_left": [lt.num_rows], "n_right": [rt.num_rows]})
+
+    out = cogroup(
+        ray.data.from_arrow(left), ray.data.from_arrow(right), "k",
+        count_sides, num_partitions=16,
+    ).to_pandas()
+    assert len(plans) == 1
+    assert any(len(b) > 1 for b in plans[0])
+    assert len(out) == sum(len(b) for b in plans[0])
+    assert out["n_left"].sum() == 40 and out["n_right"].sum() == 3
+    assert (out["n_right"] == 0).any()
+
+
+def test_cogroup_runs_on_reduce_batches(ray_session, monkeypatch):
+    """cogroup shares the direct exchange's reduce batches: at 64 partitions
+    a small input runs in fewer reduce tasks than non-empty partitions,
+    while fn still runs once per partition on exactly that partition's
+    sorted rows of each side (checked against a local hash-partition
+    oracle)."""
+    import pyarrow as pa
+    import ray
+    import ray.data
+
+    from hypertrace_ingester_ray.stages.grouping import add_part_column, cogroup
+
+    plans = _spy_reduce_batches(monkeypatch)
+    rng = np.random.RandomState(5)
+    left = pa.table({"k": pa.array(rng.randint(0, 300, 2000), pa.int64()),
+                     "v": pa.array(rng.randint(0, 10**6, 2000), pa.int64())})
+    right = pa.table({"k": pa.array(rng.randint(150, 450, 500), pa.int64()),
+                      "w": pa.array(rng.randint(0, 10**6, 500), pa.int64())})
+    P = 64
+
+    def fn(lt: pa.Table, rt: pa.Table) -> pa.Table:
+        return pa.table({
+            "lk": [lt["k"].to_pylist()], "lv": [lt["v"].to_pylist()],
+            "rk": [rt["k"].to_pylist()], "rw": [rt["w"].to_pylist()],
+        })
+
+    out = cogroup(
+        ray.data.from_arrow(left).repartition(3),
+        ray.data.from_arrow(right).repartition(2),
+        "k", fn, left_sort=["v"], right_sort=["w"], num_partitions=P,
+    )
+    got = sorted(
+        repr(r) for t in ray.get(out.to_arrow_refs()) for r in t.to_pylist()
+    )
+
+    def local_parts(t, sort):
+        t = add_part_column(t, "k", P)
+        part = t["__part"].to_numpy()
+        return {
+            p: t.filter(pa.array(part == p)).drop_columns(["__part"])
+            .sort_by([("k", "ascending"), (sort, "ascending")])
+            for p in np.unique(part)
+        }
+
+    lp, rp = local_parts(left, "v"), local_parts(right, "w")
+    empty_l, empty_r = left.schema.empty_table(), right.schema.empty_table()
+    want = sorted(
+        repr(fn(lp.get(p, empty_l), rp.get(p, empty_r)).to_pylist()[0])
+        for p in sorted(set(lp) | set(rp))
+    )
+    assert got == want
+    non_empty = len(set(lp) | set(rp))
+    assert len(plans) == 1
+    assert sum(len(b) for b in plans[0]) == non_empty
+    assert len(plans[0]) < non_empty
+    assert out.num_blocks() == non_empty

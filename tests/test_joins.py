@@ -9,9 +9,8 @@ import ray.data
 from hypertrace_ingester_ray.stages.explode import explode_tokens_batch
 from hypertrace_ingester_ray.stages.joins import (
     asof_join,
-    broadcast_join,
+    broadcast_table_join,
     cogroup_join,
-    hash_join,
 )
 
 
@@ -29,13 +28,20 @@ def test_explode_tokens_batch():
     assert out["conv_id"].to_pylist() == ["a", "a", "a", "b"]
 
 
-def test_broadcast_join(ray_session):
+def test_broadcast_table_join_left_outer(ray_session):
+    """A left_outer broadcast table join keeps every left row; a key with no
+    match gets a null value."""
     ds = ray.data.from_arrow(
         pa.table({"k": pa.array([1, 2, 3, 2], pa.int64())})
     )
-    out = broadcast_join(ds, {1: "one", 2: "two"}, key="k", value_col="name")
-    got = dict(zip(*[out.to_pandas()[c] for c in ["k", "name"]]))
-    assert got == {1: "one", 2: "two", 3: None}
+    names = pa.table(
+        {"k": pa.array([1, 2], pa.int64()), "name": pa.array(["one", "two"])}
+    )
+    out = broadcast_table_join(ds, names, on=["k"], how="left_outer")
+    got = sorted(out.take_all(), key=lambda r: r["k"])
+    assert [(r["k"], r["name"]) for r in got] == [
+        (1, "one"), (2, "two"), (2, "two"), (3, None)
+    ]
 
 
 def test_hash_join_inner(ray_session):
@@ -45,39 +51,48 @@ def test_hash_join_inner(ray_session):
     right = ray.data.from_arrow(
         pa.table({"k": pa.array([2, 3, 4], pa.int64()), "r": pa.array(["B", "C", "D"])})
     )
-    out = hash_join(left, right, on=["k"], num_partitions=4).to_pandas()
+    out = cogroup_join(left, right, on=["k"], num_partitions=4).to_pandas()
     assert sorted(out.k.tolist()) == [2, 3]
 
 
-def test_cogroup_join_matches_hash_join(ray_session):
-    """cogroup_join (schema-explicit exchange) produces the same rows as the
-    native join for inner and left_outer, including a renamed right key."""
-    left = ray.data.from_arrow(
-        pa.table(
-            {"k": pa.array([1, 2, 3, 5], pa.int64()), "l": pa.array(list("abce"))}
-        )
+def test_cogroup_join_matches_local_join(ray_session):
+    """cogroup_join (the distributed co-shuffle join) returns the same rows
+    as a single-process hash join (``pyarrow.Table.join``) of the two
+    inputs, for every join type, with a renamed right key and a
+    null key on each side."""
+    lt = pa.table(
+        {
+            "k": pa.array([1, 2, 3, 5, 2, None], pa.int64()),
+            "l": pa.array(list("abcefg")),
+        }
     )
-    right = ray.data.from_arrow(
-        pa.table(
-            {"rk": pa.array([2, 3, 4], pa.int64()), "r": pa.array(list("BCD"))}
-        )
+    rt = pa.table(
+        {"rk": pa.array([2, 3, 4, None], pa.int64()), "r": pa.array(list("BCDN"))}
     )
-    inner = cogroup_join(
-        left, right, on=["k"], right_on=["rk"], num_partitions=4
-    ).to_pandas()
-    assert sorted(inner.k.tolist()) == [2, 3]
-    louter = cogroup_join(
-        left, right, on=["k"], right_on=["rk"], how="left_outer", num_partitions=4
-    ).to_pandas()
-    assert sorted(louter.k.tolist()) == [1, 2, 3, 5]
-    assert louter.set_index("k").r.isna().sum() == 2
-    # cross-check vs Ray's native operator (hash_join default path IS
-    # cogroup_join now; native=True reaches the built-in for comparison)
-    nat = hash_join(
-        left, right, on=["k"], right_on=["rk"], num_partitions=4, native=True
-    ).to_pandas()
-    assert sorted(nat.k.tolist()) == sorted(inner.k.tolist())
-    assert sorted(nat.r.tolist()) == sorted(inner.r.tolist())
+    left, right = ray.data.from_arrow(lt), ray.data.from_arrow(rt)
+
+    def rows(t: pa.Table):
+        return sorted(
+            (tuple(r.values()) for r in t.select(sorted(t.column_names)).to_pylist()),
+            key=repr,
+        )
+
+    for how, join_type in [
+        ("inner", "inner"),
+        ("left_outer", "left outer"),
+        ("right_outer", "right outer"),
+        ("full_outer", "full outer"),
+        ("left_semi", "left semi"),
+        ("left_anti", "left anti"),
+    ]:
+        got = cogroup_join(
+            left, right, on=["k"], right_on=["rk"], how=how, num_partitions=4
+        )
+        want = lt.join(
+            rt.rename_columns(["k", "r"]), keys="k", join_type=join_type
+        )
+        got_t = pa.concat_tables(ray.get(got.to_arrow_refs()))
+        assert rows(got_t) == rows(want), how
 
 
 def test_cogroup_join_chained(ray_session):
@@ -184,10 +199,9 @@ def test_range_join_window(ray_session):
 
 
 def test_broadcast_join_null_keys(ray_session):
-    """Null keys must map to the default, not crash the unique-level probe
-    (ADVICE r2)."""
+    """Null keys never match in a broadcast table join: a left_outer join
+    keeps those rows with a null value instead of crashing (ADVICE r2)."""
     import ray.data
-    from hypertrace_ingester_ray.stages.joins import broadcast_join
 
     tbl = pa.table(
         {
@@ -195,15 +209,17 @@ def test_broadcast_join_null_keys(ray_session):
             "v": pa.array([1, 2, 3, 4], pa.int64()),
         }
     )
+    lookup = pa.table(
+        {"k": pa.array(["a", "b", None]), "mapped": pa.array(["A", "B", "N"])}
+    )
     out = (
-        broadcast_join(
-            ray.data.from_arrow(tbl), {"a": "A", "b": "B"},
-            key="k", value_col="mapped", default="?",
+        broadcast_table_join(
+            ray.data.from_arrow(tbl), lookup, on=["k"], how="left_outer"
         )
         .to_pandas()
         .sort_values("v")
     )
-    assert out["mapped"].tolist() == ["A", "?", "B", "?"]
+    assert out["mapped"].tolist() == ["A", None, "B", None]
 
 
 def test_broadcast_semi_and_anti_join(ray_session):
@@ -284,7 +300,7 @@ def test_skew_join_equals_plain_join(ray_session):
     import pandas as pd
     import ray.data
 
-    from hypertrace_ingester_ray.stages.joins import hash_join, skew_join
+    from hypertrace_ingester_ray.stages.joins import cogroup_join, skew_join
 
     rng = np.random.RandomState(21)
     # one pathologically hot key (5000 rows) + uniform cold keys
@@ -301,7 +317,7 @@ def test_skew_join_equals_plain_join(ray_session):
         hot_threshold=1000,
         num_partitions=4,
     ).to_pandas()
-    exp = hash_join(
+    exp = cogroup_join(
         ray.data.from_pandas(left),
         ray.data.from_pandas(right),
         on=["k"],

@@ -196,7 +196,7 @@ def test_skew_join_sampled_still_row_identical():
     inner join rows (the hot set only routes)."""
     import ray.data
 
-    from hypertrace_ingester_ray.stages.joins import hash_join, skew_join
+    from hypertrace_ingester_ray.stages.joins import cogroup_join, skew_join
 
     n = 40000
     lk = ["h"] * (n // 2) + [f"k{i % 997}" for i in range(n // 2)]
@@ -208,7 +208,7 @@ def test_skew_join_sampled_still_row_identical():
                   "w": list(range(998))})
     )
     a = skew_join(left, right, on="k", hot_threshold=8192, num_partitions=8)
-    b = hash_join(left, right, on=["k"], num_partitions=8)
+    b = cogroup_join(left, right, on=["k"], num_partitions=8)
     pa_a = a.to_pandas().sort_values(["k", "v"]).reset_index(drop=True)
     pa_b = b.to_pandas().sort_values(["k", "v"]).reset_index(drop=True)
     assert pa_a[["k", "v", "w"]].equals(pa_b[["k", "v", "w"]])

@@ -241,85 +241,6 @@ def test_heavy_hitters_empty_respects_value_type(ray_session):
 
 
 # ---------------------------------------------------------------------------
-# HTR_SHUFFLE_COMPRESSION=auto (VERDICT r4 #8): probe-driven codec pick
-# ---------------------------------------------------------------------------
-
-
-def test_compression_auto_off_single_node():
-    from hypertrace_ingester_ray.stages.grouping import decide_shuffle_compression
-
-    t = pa.table({"x": pa.array([b"a" * 1000] * 100)})
-    assert decide_shuffle_compression(1, t, nic_gbps=10) == ""
-
-
-def test_compression_auto_lz4_on_slow_nic_compressible():
-    from hypertrace_ingester_ray.stages.grouping import decide_shuffle_compression
-
-    # highly compressible payload + an effectively zero-bandwidth NIC:
-    # wire savings dominate any codec cost
-    t = pa.table({"x": pa.array([b"a" * 4096] * 2000)})
-    assert decide_shuffle_compression(4, t, nic_gbps=0.0001) == "lz4"
-
-
-def test_compression_auto_off_on_fast_nic_incompressible():
-    from hypertrace_ingester_ray.stages.grouping import decide_shuffle_compression
-
-    import numpy as np
-
-    rng = np.random.default_rng(3)
-    # incompressible random bytes + an absurdly fast NIC: codec can't win
-    t = pa.table({"x": pa.array([rng.bytes(4096) for _ in range(500)])})
-    assert decide_shuffle_compression(4, t, nic_gbps=1e9) == ""
-
-
-def test_compression_auto_multinode_no_sample_defaults_lz4():
-    from hypertrace_ingester_ray.stages.grouping import decide_shuffle_compression
-
-    assert decide_shuffle_compression(8, None, nic_gbps=10) == "lz4"
-
-
-def test_compression_auto_resolves_and_caches(ray_session, monkeypatch):
-    import hypertrace_ingester_ray.stages.grouping as g
-
-    monkeypatch.setattr(g, "SHUFFLE_COMPRESSION", "auto")
-    monkeypatch.setattr(g, "_RESOLVED_COMPRESSION", None)
-    # single local node: auto must resolve to off
-    assert g.resolve_shuffle_compression() == ""
-    # cached: a second call must not re-probe (poison ray.nodes to prove it)
-    monkeypatch.setattr(g, "_RESOLVED_COMPRESSION", "lz4")
-    assert g.resolve_shuffle_compression() == "lz4"
-
-
-def test_group_apply_end_to_end_under_auto(ray_session, monkeypatch):
-    import ray.data
-
-    import hypertrace_ingester_ray.stages.grouping as g
-
-    monkeypatch.setattr(g, "SHUFFLE_COMPRESSION", "auto")
-    monkeypatch.setattr(g, "_RESOLVED_COMPRESSION", None)
-    ds = ray.data.from_arrow(
-        pa.table({"k": pa.array([1, 2, 1, 3, 2] * 20), "v": pa.array(range(100))})
-    )
-
-    def summed(part: pa.Table) -> pa.Table:
-        import numpy as np
-
-        k = part["k"].to_numpy()
-        v = part["v"].to_numpy()
-        firsts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
-        return pa.table(
-            {
-                "k": pa.array(k[firsts]),
-                "s": pa.array(np.add.reduceat(v, firsts)),
-            }
-        )
-
-    out = g.group_apply(ds, "k", summed).to_pandas().sort_values("k")
-    assert out["s"].sum() == sum(range(100))
-    assert len(out) == 3
-
-
-# ---------------------------------------------------------------------------
 # round-5 self-review fixes (second session)
 # ---------------------------------------------------------------------------
 
@@ -411,9 +332,10 @@ def test_parse_double_trims_like_java_string_trim():
         assert _parse_double(bad) is None, repr(bad)
 
 
-def test_order_line_join_sample_fractional_quantity_matches_duckdb(tmp_path):
-    """Fractional l_quantity: the sample weight rounds half to even, as the
-    oracle's CAST(double AS BIGINT) does, instead of failing the cast."""
+def _order_line_sample_vs_oracle(tmp_path, quantities):
+    """Run order_line_join_sample and its oracle SQL on a lineitem with the
+    given ``l_quantity`` values (four lines per order); returns both
+    samples as sorted row tuples."""
     import datetime
 
     import duckdb
@@ -421,16 +343,13 @@ def test_order_line_join_sample_fractional_quantity_matches_duckdb(tmp_path):
 
     import __ray_entry__ as entry
 
-    n = 160
-    frac = [0.5, 0.25, 0.75, 0.0]
+    n = len(quantities)
     pq.write_table(
         pa.table(
             {
                 "l_orderkey": pa.array([i // 4 for i in range(n)], pa.int64()),
                 "l_linenumber": pa.array([i % 4 + 1 for i in range(n)], pa.int32()),
-                "l_quantity": pa.array(
-                    [1 + i % 29 + frac[i % 4] for i in range(n)], pa.float64()
-                ),
+                "l_quantity": pa.array(quantities, pa.float64()),
             }
         ),
         tmp_path / "lineitem.parquet",
@@ -465,15 +384,41 @@ def test_order_line_join_sample_fractional_quantity_matches_duckdb(tmp_path):
             for r in df[cols].itertuples(index=False)
         )
 
+    return rows(got), rows(want)
+
+
+def test_order_line_join_sample_fractional_quantity_matches_duckdb(tmp_path):
+    """Fractional l_quantity: the sample weight rounds half to even, as the
+    oracle's CAST(double AS BIGINT) does, instead of failing the cast."""
+    n = 160
+    frac = [0.5, 0.25, 0.75, 0.0]
+    qty = [1 + i % 29 + frac[i % 4] for i in range(n)]
+    got, want = _order_line_sample_vs_oracle(tmp_path, qty)
     assert len(got) == 40
-    assert rows(got) == rows(want)
+    assert got == want
     # Python's round() is half to even too; the sample must hold .5 rows
-    qty = {
-        i // 4 * 8 + i % 4 + 1: 1 + i % 29 + frac[i % 4] for i in range(n)
-    }
-    picked = [(qty[int(s)], int(w)) for s, w in zip(got["samp_id"], got["w"])]
+    by_id = {i // 4 * 8 + i % 4 + 1: qty[i] for i in range(n)}
+    picked = [(by_id[r[0]], r[4]) for r in got]
     assert all(w == round(q) for q, w in picked)
     assert any(q % 1 == 0.5 for q, _ in picked)
+
+
+def test_order_line_join_sample_zero_weight_matches_duckdb(tmp_path):
+    """A positive l_quantity at or below 0.5 rounds to weight 0.  The oracle
+    keeps such a row with a NULL priority (``x // 0``), ordered after every
+    positive-weight row; the sample must too, instead of raising."""
+    qty = [1 + i % 29 for i in range(160)]
+    qty[37] = 0.4
+    got, want = _order_line_sample_vs_oracle(tmp_path, qty)
+    assert len(got) == 40
+    assert got == want
+    # fewer than 40 positive weights: the zero-weight rows fill the sample
+    # in id order
+    qty = [0.3 if i % 3 else 2.0 for i in range(96)]
+    got, want = _order_line_sample_vs_oracle(tmp_path, qty)
+    assert len(got) == 40
+    assert got == want
+    assert sum(r[4] == 0 for r in got) == 40 - 32
 
 
 def test_projector_rejects_column_collision():
