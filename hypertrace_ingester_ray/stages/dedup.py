@@ -1,23 +1,34 @@
 """Deduplication operators: exact, MinHash+LSH, SimHash, n-gram Jaccard,
-embedding-cosine near-dup.
+embedding-cosine near-dup, AllPairs, substring overlap and winnowing.
 
 Scale design notes (100 TB):
 - exact dedup never shuffles full text: a 64-bit content hash is computed in
   ``map_batches``, the shuffle moves (hash, doc_id) plus whatever columns the
   caller keeps, and per-group keep-first runs vectorized via group_apply.
-- MinHash signatures are computed per batch (numpy, vectorized over shingle
-  crc32s); the LSH band buckets become the shuffle key, so only docs sharing
-  a band bucket ever meet.  Candidate pairs are verified with exact n-gram
-  Jaccard inside the bucket group.
-- SimHash uses the same banding trick over 16-bit chunks for Hamming ≤ k
-  blocking.
-- embedding near-dup blocks on an exact key (label) and does a vectorized
-  cosine all-pairs within each block.
+- every near-duplicate family runs on one candidate-pair kernel,
+  :func:`_blocked_pairs`, and differs only in its blocking key, its pair
+  filter and its oversized-bucket policy:
+
+  1. **blocking** — one exchange on the key; each bucket arrives sorted by
+     id, and rows with a null key form no bucket;
+  2. **purging** — a bucket above the family's cap either raises (the exact
+     families: AllPairs, shared-key) or keeps only the O(m) star edges to
+     its min-id member (MinHash, SimHash, embedding LSH);
+  3. **filtering** — id-ordered pairs ``a < b`` (never one id with itself)
+     that pass the family's predicate, which also yields its score;
+  4. **combine** — one exchange on ``(a, b)``: keep-first where a pair can
+     surface from several buckets, a shared-key count, or none when the
+     blocking is a partition (label-blocked cosine).
+
+  MinHash signatures and SimHash fingerprints are computed per batch
+  (numpy, vectorized over shingle hashes); their LSH bands are the blocking
+  keys, so only docs sharing a band bucket ever meet.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from functools import partial
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 import pyarrow as pa
@@ -27,6 +38,7 @@ from ray.data import Dataset
 
 from ..functions.hashing import popcount64, shingle_hashes
 from .grouping import group_apply, run_boundaries
+from .similarity import _to_matrix, _valid_vec_rows
 
 # ---------------------------------------------------------------------------
 # exact dedup
@@ -133,82 +145,122 @@ def _band_explode(batch: pa.Table, *, bands: int, rows_per_band: int) -> pa.Tabl
     )
 
 
-def _dedup_pair_rows(part: pa.Table) -> pa.Table:
-    """Keep-first per (id_a, id_b) over a partition sorted by those columns.
-    Works for any id dtype — no packed composite key."""
-    cols = part.column_names[:2]
-    a = part[cols[0]].to_numpy(zero_copy_only=False)
-    b = part[cols[1]].to_numpy(zero_copy_only=False)
+def _dedup_pair_rows(part: pa.Table, count_col: Optional[str] = None) -> pa.Table:
+    """Keep-first per (id_a, id_b) over a partition sorted by those columns,
+    plus the run length as ``count_col`` when given.  Works for any id dtype
+    — no packed composite key, so 64-bit ids can never collide."""
+    a = part.column(0).to_numpy(zero_copy_only=False)
+    b = part.column(1).to_numpy(zero_copy_only=False)
     bounds = run_boundaries(a, b)
-    return part.take(pa.array(bounds[:-1]))
-
-
-def _bucket_pairs(
-    part: pa.Table, *, sim_threshold: float, allpairs_cap: int = 1000
-) -> pa.Table:
-    """Within each LSH bucket, emit candidate pairs with estimated Jaccard
-    (signature agreement rate), deduped by (a, b).
-
-    Skew guard — NO silent loss: buckets up to ``allpairs_cap`` members do
-    the exact all-pairs scan; larger buckets (>= cap members sharing a whole
-    band signature are near-certain boilerplate clusters) emit STAR edges to
-    the bucket's min-doc_id representative instead.  Star edges preserve
-    dedup connectivity (union-find still merges the whole cluster) at O(m)
-    instead of O(m^2) pairs.  The number of star-degraded buckets/rows is
-    printed per partition task so nothing is dropped unaccounted.
-    """
-    buckets = part["bucket"].to_numpy(zero_copy_only=False)
-    ids = part["doc_id"].to_numpy(zero_copy_only=False)
-    n = len(ids)
-    sig = np.asarray(
-        part["sig_row"].combine_chunks().flatten().to_numpy(zero_copy_only=False)
-    ).reshape(n, -1)
-    bounds = run_boundaries(buckets)
-    out_a: List[np.ndarray] = []
-    out_b: List[np.ndarray] = []
-    out_est: List[np.ndarray] = []
-    star_buckets = 0
-    star_rows = 0
-    for s, e in zip(bounds[:-1], bounds[1:]):
-        m = e - s
-        if m < 2:
-            continue
-        bid = ids[s:e]
-        bsig = sig[s:e]
-        order = np.argsort(bid)
-        bid, bsig = bid[order], bsig[order]
-        if m > allpairs_cap:
-            # star edges: every member vs. the min-doc_id representative
-            star_buckets += 1
-            star_rows += m
-            eq = (bsig[1:] == bsig[0][None, :]).mean(axis=1)
-            keep = (eq >= sim_threshold) & (bid[1:] != bid[0])
-            out_a.append(np.full(int(keep.sum()), bid[0], dtype=np.int64))
-            out_b.append(bid[1:][keep])
-            out_est.append(eq[keep])
-            continue
-        eq = (bsig[:, None, :] == bsig[None, :, :]).mean(axis=2)
-        ia, ib = np.triu_indices(m, k=1)
-        keep = eq[ia, ib] >= sim_threshold
-        keep &= bid[ia] != bid[ib]
-        out_a.append(bid[ia[keep]])
-        out_b.append(bid[ib[keep]])
-        out_est.append(eq[ia[keep], ib[keep]])
-    if star_buckets:
-        print(
-            f"[minhash-lsh] {star_buckets} mega-bucket(s) "
-            f"({star_rows} rows) degraded to star-representative edges"
+    out = part.take(pa.array(bounds[:-1]))
+    if count_col:
+        out = out.append_column(
+            count_col, pa.array(np.diff(bounds).astype(np.int64))
         )
-    cat = lambda xs, dt: (
-        np.concatenate(xs).astype(dt) if xs else np.empty(0, dtype=dt)
+    return out
+
+
+def _blocked_pairs(
+    rows: Dataset,
+    key: str,
+    id_col: str,
+    *,
+    nonnull: Sequence[str] = (),
+    pair_cols: Sequence[str] = ("doc_a", "doc_b"),
+    score: Optional[Tuple[str, pa.DataType]] = None,
+    bucket_data: Optional[Callable[[pa.Table], np.ndarray]] = None,
+    pair_filter: Optional[Callable] = None,
+    combine: Optional[str] = "first",
+    cap: Optional[int] = None,
+    cap_error: Optional[str] = None,
+    label: str = "blocked-pairs",
+    **kw,
+) -> Dataset:
+    """Pairs of ``id_col`` values sharing a ``key`` bucket: blocking →
+    purging → filtering → combine (module docstring).  Rows with a null
+    ``key`` or a null in a ``nonnull`` column pair with nothing.
+
+    - ``cap``: a bucket of more than ``cap`` members raises
+      ``RuntimeError(cap_error.format(m=m))`` when ``cap_error`` is set;
+      otherwise it yields only the star edges from its min id, counted in
+      one ``[label]`` line per partition, so nothing is dropped unaccounted.
+    - ``pair_filter(x, ia, ib, star) -> (keep, score_values)`` sees the
+      bucket's rows ``x`` of ``bucket_data(partition)`` and local pair
+      indices ``ia < ib``; with ``star`` the pairs are ``(0, j)`` for every
+      other member ``j``.  ``score`` names and types its score column.
+    - ``combine``: ``"first"`` keeps one row per pair, ``"count"`` also
+      counts its buckets as ``n_shared``, ``None`` skips the exchange.
+
+    Returns ``(*pair_cols, [score])`` with int64 ids, ``a < b``.
+    """
+    a_col, b_col = pair_cols
+    schema = pa.schema(
+        [(a_col, pa.int64()), (b_col, pa.int64())] + ([score] if score else [])
     )
-    return pa.table(
-        {
-            "doc_a": pa.array(cat(out_a, np.int64)),
-            "doc_b": pa.array(cat(out_b, np.int64)),
-            "est_jaccard": pa.array(cat(out_est, np.float64)),
-        }
+
+    def _expand(part: pa.Table) -> pa.Table:
+        for c in (key, *nonnull):  # NULL = NULL is not true: no bucket
+            if part[c].null_count:
+                part = part.filter(pc.is_valid(part[c]))
+        if part.num_rows == 0:
+            return schema.empty_table()
+        ids = part[id_col].to_numpy(zero_copy_only=False)
+        bounds = run_boundaries(part[key].to_numpy(zero_copy_only=False))
+        data = bucket_data(part) if bucket_data else None
+        cols = ([], [], [])
+        star_buckets = star_rows = 0
+        for s, e in zip(bounds[:-1], bounds[1:]):
+            m = e - s
+            if m < 2:
+                continue
+            star = cap is not None and m > cap
+            if star and cap_error is not None:
+                raise RuntimeError(cap_error.format(m=m))
+            if star:
+                star_buckets += 1
+                star_rows += m
+                ia, ib = np.zeros(m - 1, dtype=np.int64), np.arange(1, m)
+            else:
+                ia, ib = np.triu_indices(m, k=1)
+            bid = ids[s:e]
+            keep = bid[ia] != bid[ib]
+            if pair_filter is not None:
+                passed, values = pair_filter(data[s:e], ia, ib, star)
+                keep &= passed
+                if score:
+                    cols[2].append(values[keep])
+            cols[0].append(bid[ia[keep]])
+            cols[1].append(bid[ib[keep]])
+        if star_buckets:
+            print(
+                f"[{label}] {star_buckets} mega-bucket(s) ({star_rows} rows) "
+                "degraded to star-representative edges"
+            )
+        return pa.table(
+            [
+                pa.array(np.concatenate(c) if c else [], f.type)
+                for c, f in zip(cols, schema)
+            ],
+            schema=schema,
+        )
+
+    pairs = group_apply(rows, key, _expand, sort_by=[id_col], **kw)
+    if combine is None:
+        return pairs
+    count_col = "n_shared" if combine == "count" else None
+    return group_apply(
+        pairs, [a_col, b_col], partial(_dedup_pair_rows, count_col=count_col),
+        **kw,
     )
+
+
+def _signature_agreement(sig, ia, ib, star, *, sim_threshold):
+    """MinHash pair filter: estimated Jaccard = signature agreement rate."""
+    if star:
+        est = (sig[1:] == sig[0][None, :]).mean(axis=1)
+    else:
+        est = (sig[:, None, :] == sig[None, :, :]).mean(axis=2)[ia, ib]
+    return est >= sim_threshold, est
 
 
 def minhash_lsh_pairs(
@@ -225,7 +277,8 @@ def minhash_lsh_pairs(
     """Near-duplicate candidate pairs via MinHash + LSH banding.
 
     shingle → minhash (map_batches) → band explode (map_batches) →
-    groupby(bucket) pairgen → global pair dedup.
+    :func:`_blocked_pairs` on the band bucket (a pair can surface from
+    several bands; one copy is kept).
     """
     rows_per_band = num_perm // bands
     sigs = ds.map_batches(
@@ -242,20 +295,24 @@ def minhash_lsh_pairs(
         batch_format="pyarrow",
         fn_kwargs={"bands": bands, "rows_per_band": rows_per_band},
     )
-    pairs = group_apply(
+    # Skew guard — no silent loss: a bucket above ``allpairs_cap`` members
+    # (a whole band signature shared that widely is a boilerplate cluster)
+    # keeps only its star edges, which preserve dedup connectivity
+    # (union-find still merges the cluster) at O(m) instead of O(m^2).
+    return _blocked_pairs(
         exploded,
         "bucket",
-        lambda part: _bucket_pairs(
-            part, sim_threshold=sim_threshold, allpairs_cap=allpairs_cap
-        ),
-        sort_by=["doc_id"],
+        "doc_id",
+        score=("est_jaccard", pa.float64()),
+        bucket_data=lambda part: np.asarray(
+            part["sig_row"].combine_chunks().flatten()
+            .to_numpy(zero_copy_only=False)
+        ).reshape(part.num_rows, -1),
+        pair_filter=partial(_signature_agreement, sim_threshold=sim_threshold),
+        cap=allpairs_cap,
+        label="minhash-lsh",
         **kw,
     )
-
-    # a pair can surface from multiple bands — keep one copy.  Dedup runs
-    # directly on the two id columns (multi-key run_boundaries): no int64
-    # packing, so 64-bit doc ids can never silently collide (VERDICT r2 #1).
-    return group_apply(pairs, ["doc_a", "doc_b"], _dedup_pair_rows, **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +369,12 @@ def simhash_batch(
     )
 
 
+def _hamming_within(h, ia, ib, star, *, max_hamming):
+    """SimHash pair filter: Hamming distance of the 64-bit fingerprints."""
+    dist = popcount64(h[ia] ^ h[ib])
+    return dist <= max_hamming, dist
+
+
 def simhash_pairs(
     ds: Dataset, *, max_hamming: int = 3, scheme: str = "siphash", **kw
 ) -> Dataset:
@@ -323,78 +386,32 @@ def simhash_pairs(
 
     def _explode(batch: pa.Table) -> pa.Table:
         h = batch["simhash"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        n = len(h)
-        rows = {"bucket": [], "doc_id": [], "simhash": []}
         doc = batch["doc_id"].to_numpy(zero_copy_only=False)
-        for band in range(4):
-            chunk = ((h >> np.uint64(band * 16)) & np.uint64(0xFFFF)).astype(np.int64)
-            rows["bucket"].append(chunk * 4 + band)
-            rows["doc_id"].append(doc)
-            rows["simhash"].append(h.astype(np.int64))
+        band = np.arange(4, dtype=np.uint64)[:, None]
+        chunk = (h >> (band * np.uint64(16))) & np.uint64(0xFFFF)
+        bucket = chunk.astype(np.int64) * 4 + band.astype(np.int64)
         return pa.table(
             {
-                "bucket": pa.array(np.concatenate(rows["bucket"])),
-                "doc_id": pa.array(np.concatenate(rows["doc_id"])),
-                "simhash": pa.array(np.concatenate(rows["simhash"])),
+                "bucket": pa.array(bucket.reshape(-1)),
+                "doc_id": pa.array(np.tile(doc, 4)),
+                "simhash": pa.array(np.tile(h.astype(np.int64), 4)),
             }
         )
 
-    exploded = sigs.map_batches(_explode, batch_format="pyarrow")
-
-    def _pairs(part: pa.Table) -> pa.Table:
-        buckets = part["bucket"].to_numpy(zero_copy_only=False)
-        ids = part["doc_id"].to_numpy(zero_copy_only=False)
-        h = part["simhash"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        bounds = run_boundaries(buckets)
-        A, B, D = [], [], []
-        star_buckets = star_rows = 0
-        cap = 1000
-        for s, e in zip(bounds[:-1], bounds[1:]):
-            m = e - s
-            if m < 2:
-                continue
-            bid, bh = ids[s:e], h[s:e]
-            order = np.argsort(bid)
-            bid, bh = bid[order], bh[order]
-            if m > cap:
-                # mega-bucket skew guard: star edges to the min-doc_id rep
-                # (preserves dedup connectivity, O(m) pairs, counted — not
-                # silently dropped)
-                star_buckets += 1
-                star_rows += m
-                dist = popcount64(bh[1:] ^ bh[0])
-                keep = (dist <= max_hamming) & (bid[1:] != bid[0])
-                A.append(np.full(int(keep.sum()), bid[0], dtype=np.int64))
-                B.append(bid[1:][keep])
-                D.append(dist[keep])
-                continue
-            ia, ib = np.triu_indices(m, k=1)
-            dist = popcount64(bh[ia] ^ bh[ib])
-            keep = (dist <= max_hamming) & (bid[ia] != bid[ib])
-            A.append(bid[ia[keep]])
-            B.append(bid[ib[keep]])
-            D.append(dist[keep])
-        if star_buckets:
-            print(
-                f"[simhash] {star_buckets} mega-bucket(s) ({star_rows} rows) "
-                "degraded to star-representative edges"
-            )
-        cat = lambda xs: (
-            np.concatenate(xs).astype(np.int64)
-            if xs
-            else np.empty(0, dtype=np.int64)
-        )
-        return pa.table(
-            {
-                "doc_a": pa.array(cat(A)),
-                "doc_b": pa.array(cat(B)),
-                "hamming": pa.array(cat(D)),
-            }
-        )
-
-    pairs = group_apply(exploded, "bucket", _pairs, sort_by=["doc_id"], **kw)
-    # multi-key dedup — no packed composite key (VERDICT r2 #1)
-    return group_apply(pairs, ["doc_a", "doc_b"], _dedup_pair_rows, **kw)
+    # buckets above 1,000 members keep only star edges (see minhash_lsh_pairs)
+    return _blocked_pairs(
+        sigs.map_batches(_explode, batch_format="pyarrow"),
+        "bucket",
+        "doc_id",
+        score=("hamming", pa.int64()),
+        bucket_data=lambda part: (
+            part["simhash"].to_numpy(zero_copy_only=False).astype(np.uint64)
+        ),
+        pair_filter=partial(_hamming_within, max_hamming=max_hamming),
+        cap=1000,
+        label="simhash",
+        **kw,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -402,15 +419,21 @@ def simhash_pairs(
 # ---------------------------------------------------------------------------
 
 
-def _vec_matrix(col) -> np.ndarray:
-    """list<float> column → (n, d) float64 matrix, zero-copy flatten (no
-    per-row to_pylist)."""
-    arr = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
-    flat = arr.flatten().to_numpy(zero_copy_only=False).astype(np.float64)
-    n = len(arr)
-    if n == 0:
-        return flat.reshape(0, 0)
-    return flat.reshape(n, -1)
+def _cosine(v, ia, ib, star, *, threshold):
+    """Label-blocked pair filter: cosine of the raw vectors."""
+    norms = np.sqrt((v * v).sum(axis=1))
+    norms[norms == 0] = 1.0
+    sim = ((v @ v.T) / np.outer(norms, norms))[ia, ib]
+    return sim >= threshold, sim
+
+
+def _unit_cosine(v, ia, ib, star, *, threshold):
+    """LSH pair filter: cosine of the normalized vectors, O(m) for a star."""
+    norms = np.sqrt((v * v).sum(axis=1))
+    norms[norms == 0] = 1.0
+    vn = v / norms[:, None]
+    sim = vn[1:] @ vn[0] if star else (vn @ vn.T)[ia, ib]
+    return sim >= threshold, sim
 
 
 def embedding_near_dup(
@@ -422,38 +445,21 @@ def embedding_near_dup(
     threshold: float = 0.95,
     **kw,
 ) -> Dataset:
-    """Pairs (a < b) within the same block whose cosine similarity ≥ threshold."""
-
-    def _pairs(part: pa.Table) -> pa.Table:
-        if part[vec_col].null_count:  # rows without embeddings can't match
-            part = part.filter(pc.is_valid(part[vec_col]))
-        blocks = part[block_col].to_numpy(zero_copy_only=False)
-        ids = part[id_col].to_numpy(zero_copy_only=False)
-        vecs = _vec_matrix(part[vec_col])
-        bounds = run_boundaries(blocks.astype(np.int64))
-        A, B, S = [], [], []
-        for s, e in zip(bounds[:-1], bounds[1:]):
-            m = e - s
-            if m < 2:
-                continue
-            v = vecs[s:e]
-            norms = np.sqrt((v * v).sum(axis=1))
-            norms[norms == 0] = 1.0
-            sim = (v @ v.T) / np.outer(norms, norms)
-            ia, ib = np.triu_indices(m, k=1)
-            keep = sim[ia, ib] >= threshold
-            A.extend(ids[s:e][ia[keep]])
-            B.extend(ids[s:e][ib[keep]])
-            S.extend(sim[ia[keep], ib[keep]])
-        return pa.table(
-            {
-                "id_a": pa.array(np.array(A, dtype=np.int64)),
-                "id_b": pa.array(np.array(B, dtype=np.int64)),
-                "cosine": pa.array(np.array(S, dtype=np.float64)),
-            }
-        )
-
-    return group_apply(ds, block_col, _pairs, sort_by=[id_col], **kw)
+    """Pairs (a < b) within the same block whose cosine similarity ≥ threshold.
+    Rows without an embedding or a block key match nothing."""
+    # the blocks partition the rows, so a pair meets once: no combine
+    return _blocked_pairs(
+        ds,
+        block_col,
+        id_col,
+        nonnull=[vec_col],
+        pair_cols=("id_a", "id_b"),
+        score=("cosine", pa.float64()),
+        bucket_data=lambda part: _to_matrix(part[vec_col]),
+        pair_filter=partial(_cosine, threshold=threshold),
+        combine=None,
+        **kw,
+    )
 
 
 def embedding_near_dup_lsh(
@@ -475,93 +481,52 @@ def embedding_near_dup_lsh(
     seeded hyperplanes; the sign pattern is the bucket id, so only vectors
     agreeing on all bits of some table ever meet (cos(theta)^nbits collision
     prob — near-dups collide in >=1 table w.h.p.).  Within-bucket exact
-    cosine verifies candidates; duplicate pairs from multiple tables are
-    deduped by a second keyed pass.  No all-pairs, no global materialization.
+    cosine verifies candidates; a pair found by several tables is kept
+    once, and a bucket above ``allpairs_cap`` members keeps only its star
+    edges.  No all-pairs, no global materialization.
     """
-    import ray as _ray
 
     def _assign(batch: pa.Table) -> pa.Table:
-        if batch[vec_col].null_count:  # rows without embeddings can't match
-            batch = batch.filter(pc.is_valid(batch[vec_col]))
-        vecs = _vec_matrix(batch[vec_col])
-        n, d = vecs.shape if vecs.ndim == 2 else (0, 0)
-        if n == 0:
-            return pa.table(
-                {
-                    "bucket": pa.array([], pa.int64()),
-                    id_col: pa.array([], batch.schema.field(id_col).type),
-                    vec_col: batch[vec_col],
-                }
-            )
+        batch = _valid_vec_rows(batch, vec_col)
+        vecs = _to_matrix(batch[vec_col])
+        n, d = vecs.shape
         rng = np.random.default_rng(seed)  # same planes in every task
         planes = rng.standard_normal((d, nbits * n_tables))
         bits = (vecs @ planes) > 0  # (n, nbits*n_tables)
-        out_b, out_rows = [], []
-        weights = (1 << np.arange(nbits, dtype=np.int64))
-        for ti in range(n_tables):
-            code = bits[:, ti * nbits : (ti + 1) * nbits] @ weights
-            out_b.append(code * np.int64(n_tables) + ti)
-            out_rows.append(np.arange(n, dtype=np.int64))
-        rows = np.concatenate(out_rows)
+        weights = 1 << np.arange(nbits, dtype=np.int64)
+        code = bits.reshape(n, n_tables, nbits) @ weights  # (n, n_tables)
+        bucket = code.T * np.int64(n_tables) + np.arange(n_tables)[:, None]
+        rows = pa.array(np.tile(np.arange(n, dtype=np.int64), n_tables))
         return pa.table(
             {
-                "bucket": pa.array(np.concatenate(out_b)),
-                id_col: batch[id_col].take(pa.array(rows)),
-                vec_col: batch[vec_col].take(pa.array(rows)),
+                "bucket": pa.array(bucket.reshape(-1)),
+                id_col: batch[id_col].take(rows),
+                vec_col: batch[vec_col].take(rows),
             }
         )
 
-    exploded = ds.map_batches(_assign, batch_format="pyarrow")
+    return _blocked_pairs(
+        ds.map_batches(_assign, batch_format="pyarrow"),
+        "bucket",
+        id_col,
+        pair_cols=("id_a", "id_b"),
+        score=("cosine", pa.float64()),
+        bucket_data=lambda part: _to_matrix(part[vec_col]),
+        pair_filter=partial(_unit_cosine, threshold=threshold),
+        cap=allpairs_cap,
+        label="emb-lsh",
+        **kw,
+    )
 
-    def _pairs(part: pa.Table) -> pa.Table:
-        buckets = part["bucket"].to_numpy(zero_copy_only=False)
-        ids = part[id_col].to_numpy(zero_copy_only=False)
-        vecs = _vec_matrix(part[vec_col])
-        bounds = run_boundaries(buckets)
-        A, B, S = [], [], []
-        star = 0
-        for s, e in zip(bounds[:-1], bounds[1:]):
-            m = e - s
-            if m < 2:
-                continue
-            v = vecs[s:e]
-            norms = np.sqrt((v * v).sum(axis=1))
-            norms[norms == 0] = 1.0
-            vn = v / norms[:, None]
-            bid = ids[s:e]
-            order = np.argsort(bid)
-            bid, vn = bid[order], vn[order]
-            if m > allpairs_cap:
-                # mega-bucket guard: star edges to the min-id representative
-                star += 1
-                sim = vn[1:] @ vn[0]
-                keep = (sim >= threshold) & (bid[1:] != bid[0])
-                A.append(np.full(int(keep.sum()), bid[0], dtype=np.int64))
-                B.append(bid[1:][keep])
-                S.append(sim[keep])
-                continue
-            sim = vn @ vn.T
-            ia, ib = np.triu_indices(m, k=1)
-            keep = (sim[ia, ib] >= threshold) & (bid[ia] != bid[ib])
-            A.append(bid[ia[keep]])
-            B.append(bid[ib[keep]])
-            S.append(sim[ia[keep], ib[keep]])
-        if star:
-            print(f"[emb-lsh] {star} mega-bucket(s) degraded to star edges")
-        cat = lambda xs, dt: (
-            np.concatenate(xs).astype(dt) if xs else np.empty(0, dtype=dt)
-        )
-        return pa.table(
-            {
-                "id_a": pa.array(cat(A, np.int64)),
-                "id_b": pa.array(cat(B, np.int64)),
-                "cosine": pa.array(cat(S, np.float64)),
-            }
-        )
 
-    pairs = group_apply(exploded, "bucket", _pairs, sort_by=[id_col], **kw)
-    # multi-key dedup — no packed composite key (VERDICT r2 #1)
-    return group_apply(pairs, ["id_a", "id_b"], _dedup_pair_rows, **kw)
+def _distinct_pairs(d: np.ndarray, h: np.ndarray):
+    """Distinct ``(d, h)`` rows — a doc row and one of its hashes — sorted
+    by ``d`` then ``h``."""
+    order = np.lexsort((h, d))
+    d, h = d[order], h[order]
+    keep = np.ones(len(d), dtype=bool)
+    keep[1:] = (d[1:] != d[:-1]) | (h[1:] != h[:-1])
+    return d[keep], h[keep]
 
 
 def exact_verify_pairs(
@@ -625,11 +590,7 @@ def exact_verify_pairs(
         # per-pair Python loop
         def _side(sh: np.ndarray, off: np.ndarray):
             pid = np.repeat(np.arange(n, dtype=np.int64), np.diff(off))
-            order = np.lexsort((sh, pid))
-            p, h = pid[order], sh[order]
-            keep = np.ones(len(p), dtype=bool)
-            keep[1:] = (p[1:] != p[:-1]) | (h[1:] != h[:-1])
-            return p[keep], h[keep]
+            return _distinct_pairs(pid, sh)
 
         p_a, h_a = _side(sa, offa)
         p_b, h_b = _side(sb, offb)
@@ -674,20 +635,11 @@ def verified_near_dup_pairs(
     """Candidate generation + EXACT verification: MinHash/LSH proposes
     candidate pairs (loose banding → high recall), then each candidate is
     verified with exact word-``shingle_k``-gram Jaccard and kept when
-    ``jaccard >= jaccard_threshold``.
-
-    The verification joins each side's text back via the distributed hash
-    join and computes per-pair set intersection over the shingle-hash
-    arrays.  The per-pair loop is bounded by the CANDIDATE count (output-
-    sized, tiny by LSH construction), not by the corpus — the corpus-sized
-    work (shingling, banding) is fully vectorized upstream.
+    ``jaccard >= jaccard_threshold`` by :func:`exact_verify_pairs`, whose
+    work is bounded by the candidate count (tiny by LSH construction), not
+    by the corpus.
 
     Returns (doc_a, doc_b, jaccard_x1000:int64), a < b.
-
-    The two text-attach joins CHAIN (j2's left input is j1's output stream),
-    which trips a schema-loss race in Ray's native join operator when a
-    partition arrives empty — so they use :func:`cogroup_join`, the
-    schema-explicit exchange that is safe to chain.
     """
     cands = minhash_lsh_pairs(
         ds.select_columns([id_col, text_col]),
@@ -813,13 +765,10 @@ def _min_combine(labels: Dataset, num_partitions: int) -> Dataset:
             .rename_columns(["node", "label"])
         )
 
-    def _final(part: pa.Table) -> pa.Table:
-        return _partial(part)
-
     return group_apply(
         labels.map_batches(_partial, batch_format="pyarrow"),
         "node",
-        _final,
+        _partial,
         num_partitions=num_partitions,
     )
 
@@ -948,15 +897,16 @@ def allpairs_jaccard_pairs(
        must share a token inside these prefixes (ceil(t·|x|) ≤ pairwise
        required overlap ceil(t/(1+t)·(|A|+|B|)) whenever the size filter
        |B| ≥ t·|A| can hold), so recall is exactly 1.
-    5. **candidate buckets** — shuffle prefix rows by tok; within a token
-       bucket emit id-ordered pairs passing the size filter
-       ``min ≥ t·max``.  Prefix tokens are each doc's globally RAREST
-       tokens, so buckets are small by construction; a bucket larger than
+    5. **candidate buckets** — :func:`_blocked_pairs` on tok: within a
+       token bucket, id-ordered pairs passing the size filter
+       ``min ≥ t·max`` and the PPJoin positional filter, one copy per
+       pair.  Prefix tokens are each doc's globally RAREST tokens, so
+       buckets are small by construction; a bucket larger than
        ``bucket_cap`` raises loudly (that corpus needs the LSH path —
        exactness makes the output itself O(m²) for true boilerplate
        clusters, so there is no silent degradation that preserves it).
-    6. **pair dedup** + **exact verify** — multi-key keep-first, then
-       :func:`exact_verify_pairs` with word tokens (shingle_k=1).
+    6. **exact verify** — :func:`exact_verify_pairs` with word tokens
+       (shingle_k=1).
 
     Returns (doc_a, doc_b, jaccard_x1000:int64), a < b.  Complements
     :func:`verified_near_dup_pairs` (LSH recall < 1) as the exact path.
@@ -974,11 +924,7 @@ def allpairs_jaccard_pairs(
             return tok_schema.empty_table()
         sh, off = shingle_hashes(batch[text_col], 1)
         doc_idx = np.repeat(np.arange(n, dtype=np.int64), np.diff(off))
-        order = np.lexsort((sh, doc_idx))
-        d, h = doc_idx[order], sh[order]
-        keep = np.ones(len(d), dtype=bool)
-        keep[1:] = (d[1:] != d[:-1]) | (h[1:] != h[:-1])
-        d, h = d[keep], h[keep]
+        d, h = _distinct_pairs(doc_idx, sh)
         sizes = np.bincount(d, minlength=n).astype(np.int64)
         ids = batch[id_col].to_numpy(zero_copy_only=False)
         return pa.table(
@@ -1006,13 +952,7 @@ def allpairs_jaccard_pairs(
 
     attached = cogroup_join(rows, df, on=["tok"], num_partitions=num_partitions)
 
-    prefix_schema = pa.schema(
-        [("tok", pa.int64()), ("doc_id", pa.int64()), ("set_size", pa.int64())]
-    )
-
     def _prefix(part: pa.Table) -> pa.Table:
-        if part.num_rows == 0:
-            return prefix_schema.empty_table()
         ids = part["doc_id"].to_numpy(zero_copy_only=False)
         bounds = run_boundaries(ids)
         seg = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
@@ -1036,66 +976,39 @@ def allpairs_jaccard_pairs(
         num_partitions=num_partitions,
     )
 
-    def _cand(part: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {"doc_a": pa.array([], pa.int64()), "doc_b": pa.array([], pa.int64())}
-        )
-        if part.num_rows == 0:
-            return empty
-        toks = part["tok"].to_numpy(zero_copy_only=False)
-        ids = part["doc_id"].to_numpy(zero_copy_only=False)
-        sizes = part["set_size"].to_numpy(zero_copy_only=False)
-        poss = part["pos"].to_numpy(zero_copy_only=False)
-        bounds = run_boundaries(toks)
-        out_a: List[np.ndarray] = []
-        out_b: List[np.ndarray] = []
-        for s, e in zip(bounds[:-1], bounds[1:]):
-            m = e - s
-            if m < 2:
-                continue
-            if m > bucket_cap:
-                raise RuntimeError(
-                    f"allpairs_jaccard_pairs: token bucket of {m} prefix "
-                    f"entries exceeds bucket_cap={bucket_cap}; an exact join "
-                    "on this corpus is inherently quadratic for that token — "
-                    "use verified_near_dup_pairs (LSH) or raise bucket_cap"
-                )
-            ia, ib = np.triu_indices(m, k=1)
-            za, zb = sizes[s + ia], sizes[s + ib]
-            keep = np.minimum(za, zb) >= threshold * np.maximum(za, zb) - 1e-9
-            keep &= ids[s + ia] != ids[s + ib]
-            # PPJoin positional filter (Xiao et al., WWW'08): this shared
-            # token sits at rank pos in each doc's canonical order, so the
-            # overlap can't exceed 1 + min(remaining suffix lengths); prune
-            # when that bound can't reach the required overlap
-            # α = ceil(t/(1+t)·(|A|+|B|)).  Recall is preserved: for a true
-            # pair, the FIRST shared token in canonical order satisfies the
-            # bound (all α common tokens sit at or after its position).
-            alpha = np.ceil(
-                threshold / (1.0 + threshold) * (za + zb) - 1e-9
-            )
-            ub = 1 + np.minimum(
-                za - poss[s + ia] - 1, zb - poss[s + ib] - 1
-            )
-            keep &= ub >= alpha
-            out_a.append(ids[s + ia[keep]])
-            out_b.append(ids[s + ib[keep]])
-        if not out_a:
-            return empty
-        a = np.concatenate(out_a)
-        b = np.concatenate(out_b)
-        lo, hi = np.minimum(a, b), np.maximum(a, b)
-        return pa.table({"doc_a": pa.array(lo), "doc_b": pa.array(hi)})
+    def _size_and_position(x, ia, ib, star):
+        za, zb = x[ia, 0], x[ib, 0]
+        keep = np.minimum(za, zb) >= threshold * np.maximum(za, zb) - 1e-9
+        # PPJoin positional filter (Xiao et al., WWW'08): this shared
+        # token sits at rank pos in each doc's canonical order, so the
+        # overlap can't exceed 1 + min(remaining suffix lengths); prune
+        # when that bound can't reach the required overlap
+        # α = ceil(t/(1+t)·(|A|+|B|)).  Recall is preserved: for a true
+        # pair, the FIRST shared token in canonical order satisfies the
+        # bound (all α common tokens sit at or after its position).
+        alpha = np.ceil(threshold / (1.0 + threshold) * (za + zb) - 1e-9)
+        ub = 1 + np.minimum(za - x[ia, 1] - 1, zb - x[ib, 1] - 1)
+        return keep & (ub >= alpha), None
 
-    cands = group_apply(
+    cands = _blocked_pairs(
         prefixes,
         "tok",
-        _cand,
-        sort_by=["doc_id"],
+        "doc_id",
+        bucket_data=lambda part: np.column_stack(
+            [
+                part["set_size"].to_numpy(zero_copy_only=False),
+                part["pos"].to_numpy(zero_copy_only=False),
+            ]
+        ),
+        pair_filter=_size_and_position,
+        cap=bucket_cap,
+        cap_error=(
+            "allpairs_jaccard_pairs: token bucket of {m} prefix entries "
+            f"exceeds bucket_cap={bucket_cap}; an exact join on this corpus "
+            "is inherently quadratic for that token — use "
+            "verified_near_dup_pairs (LSH) or raise bucket_cap"
+        ),
         num_partitions=num_partitions,
-    )
-    cands = group_apply(
-        cands, ["doc_a", "doc_b"], _dedup_pair_rows, num_partitions=num_partitions
     )
     return exact_verify_pairs(
         cands,
@@ -1151,11 +1064,7 @@ def substring_overlap_pairs(
             return gram_schema.empty_table()
         sh, off = char_shingle_hashes(batch[text_col], k)
         doc_idx = np.repeat(np.arange(n, dtype=np.int64), np.diff(off))
-        order = np.lexsort((sh, doc_idx))
-        d, h = doc_idx[order], sh[order]
-        keep = np.ones(len(d), dtype=bool)
-        keep[1:] = (d[1:] != d[:-1]) | (h[1:] != h[:-1])
-        d, h = d[keep], h[keep]
+        d, h = _distinct_pairs(doc_idx, sh)
         ids = batch[id_col].to_numpy(zero_copy_only=False)
         return pa.table(
             {"gram": pa.array(h.view(np.int64)), "doc_id": pa.array(ids[d])}
@@ -1186,71 +1095,20 @@ def shared_key_pairs(
     docs sharing at least one key, with the count of shared keys.  One
     exchange on the key, in-bucket id-ordered pair expansion (singleton
     keys cost nothing), multi-key run-length counts.  A key shared by more
-    than ``bucket_cap`` docs raises loudly (quadratic output)."""
-
-    def _pairs(part: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {"doc_a": pa.array([], pa.int64()), "doc_b": pa.array([], pa.int64())}
-        )
-        if part.num_rows == 0:
-            return empty
-        keys = part[key_col].to_numpy(zero_copy_only=False)
-        ids = part[id_col].to_numpy(zero_copy_only=False)
-        bounds = run_boundaries(keys)
-        out_a: List[np.ndarray] = []
-        out_b: List[np.ndarray] = []
-        for s, e in zip(bounds[:-1], bounds[1:]):
-            m = e - s
-            if m < 2:
-                continue
-            if m > bucket_cap:
-                raise RuntimeError(
-                    f"{label}: key shared by {m} docs exceeds "
-                    f"bucket_cap={bucket_cap} (quadratic output); strip "
-                    "boilerplate first (corpus.segment_dedup) or raise "
-                    "bucket_cap"
-                )
-            ia, ib = np.triu_indices(m, k=1)
-            out_a.append(ids[s + ia])
-            out_b.append(ids[s + ib])
-        if not out_a:
-            return empty
-        a = np.concatenate(out_a)
-        b = np.concatenate(out_b)
-        lo, hi = np.minimum(a, b), np.maximum(a, b)
-        return pa.table({"doc_a": pa.array(lo), "doc_b": pa.array(hi)})
-
-    pair_rows = group_apply(
+    than ``bucket_cap`` docs raises loudly (quadratic output); a row
+    pairs with no other row of its own id."""
+    return _blocked_pairs(
         rows,
         key_col,
-        _pairs,
-        sort_by=[id_col],
+        id_col,
+        combine="count",
+        cap=bucket_cap,
+        cap_error=(
+            f"{label}: key shared by {{m}} docs exceeds "
+            f"bucket_cap={bucket_cap} (quadratic output); strip "
+            "boilerplate first (corpus.segment_dedup) or raise bucket_cap"
+        ),
         num_partitions=num_partitions,
-    )
-
-    def _count_pairs(part: pa.Table) -> pa.Table:
-        if part.num_rows == 0:
-            return pa.table(
-                {
-                    "doc_a": pa.array([], pa.int64()),
-                    "doc_b": pa.array([], pa.int64()),
-                    "n_shared": pa.array([], pa.int64()),
-                }
-            )
-        a = part["doc_a"].to_numpy(zero_copy_only=False)
-        b = part["doc_b"].to_numpy(zero_copy_only=False)
-        bounds = run_boundaries(a, b)
-        firsts = bounds[:-1]
-        return pa.table(
-            {
-                "doc_a": pa.array(a[firsts]),
-                "doc_b": pa.array(b[firsts]),
-                "n_shared": pa.array(np.diff(bounds).astype(np.int64)),
-            }
-        )
-
-    return group_apply(
-        pair_rows, ["doc_a", "doc_b"], _count_pairs, num_partitions=num_partitions
     )
 
 
@@ -1309,12 +1167,7 @@ def winnow_fingerprints(
         # a window starting at flat gram i is valid iff its w grams all
         # belong to the same doc: i + w <= soff[doc(i)+1]
         valid = (np.arange(m, dtype=np.int64) + w) <= soff[vdoc + 1]
-        d, h = vdoc[valid], mins[valid]
-        order = np.lexsort((h, d))
-        d, h = d[order], h[order]
-        keep = np.ones(len(d), dtype=bool)
-        keep[1:] = (d[1:] != d[:-1]) | (h[1:] != h[:-1])
-        d, h = d[keep], h[keep]
+        d, h = _distinct_pairs(vdoc[valid], mins[valid])
         ids = batch[id_col].to_numpy(zero_copy_only=False)
         return pa.table(
             {"doc_id": pa.array(ids[d]), "fp": pa.array(h.view(np.int64))}
@@ -1404,11 +1257,6 @@ def duplicated_span_stats(
         )
 
     def _hits(part: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {"doc_id": pa.array([], pa.int64()), "pos": pa.array([], pa.int64())}
-        )
-        if part.num_rows == 0:
-            return empty
         grams = part["gram"].to_numpy(zero_copy_only=False)
         docs = part["doc_id"].to_numpy(zero_copy_only=False)
         gb = run_boundaries(grams)
@@ -1436,14 +1284,6 @@ def duplicated_span_stats(
     )
 
     def _coverage(part: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "doc_id": pa.array([], pa.int64()),
-                "dup_chars": pa.array([], pa.int64()),
-            }
-        )
-        if part.num_rows == 0:
-            return empty
         docs = part["doc_id"].to_numpy(zero_copy_only=False)
         pos = part["pos"].to_numpy(zero_copy_only=False)
         db = run_boundaries(docs)
