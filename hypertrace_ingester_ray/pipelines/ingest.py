@@ -12,34 +12,43 @@ chain is ONE lazy Ray Data pipeline with exactly one all-to-all shuffle:
          ├─ grok extraction (post-shuffle)
          ├─ assemble (order/dedup/cap/sessionize)
          ├─ enricher DAG (topo order, vectorized)
-         └─ 6 view sinks + metrics-partial combiner, written atomically
-            per partition (+ manifest)
+         └─ 6 view sinks + metrics-partial combiner, one file each per
+            reduce batch, written atomically (+ one manifest per partition)
     → stats rows (1/partition)                     # lineage
   finalize_metrics: tiny combine over the partials # metrics-generator
 
-Reduce batches: the hash partition is the unit of output, commit and
-resume, but not of work.  After the exchange's counts barrier, consecutive
+Reduce batches: the hash partition is the unit of commit and resume, but
+not of work or output.  After the exchange's counts barrier, consecutive
 small partitions are grouped into batches of about
 ``stages.grouping.REDUCE_BATCH_ROWS`` rows (never fewer batches than cluster
 CPUs) and each batch runs as ONE reduce task (``PartitionProcessor.
 process_batch``).  Inside it, committed partitions are skipped; grok
-extraction (row-wise), the enricher DAG, the conversation context and the
-six view builders (conversation-local) run once over the whole batch, so
-their fixed per-call cost is paid once; the row-dropping stages (tenant
-drop, rate limit, root-exit drop) and assembly run per partition, so every
-manifest counter stays exact; each view is split back by ``conv_id`` and
-every partition gets its own metrics partial, sink files and manifest,
-byte-identical to processing it alone.  Partitions at or above the target
-run one per task.  Bucketed replay keeps one partition per call.
+extraction (row-wise), the enricher DAG, the conversation context, the
+six view builders (conversation-local) and the metrics partial run once
+over the whole batch, so their fixed per-call cost is paid once; the
+row-dropping stages (tenant drop, rate limit, root-exit drop) and assembly
+run per partition, so every manifest counter stays exact.  Partitions at
+or above the target run one per task.  Bucketed replay keeps one partition
+per call.
 
 The metrics aggregation mirrors the reference's metrics pipeline consuming
 the RawServiceView topic (hypertrace-metrics-generator/.../
-MetricsProcessor.java:75-124), expressed as a per-partition combiner plus a
-final combine bounded by dims × partitions rows.
+MetricsProcessor.java:75-124), expressed as a per-batch combiner plus a
+final combine bounded by dims × reduce batches rows.
 
-Every sink is partitioned Parquet (one file per hash partition) with a JSON
-manifest per partition — a killed run resumes by skipping committed
-partitions (state/lineage.py), producing no duplicate or missing routed rows.
+Sinks: every sink is a Parquet dir with ONE file per (reduce batch, sink),
+named by the batch's first written partition
+(``part-<first pid>.parquet``, one row group; a one-partition batch writes
+the same bytes as processing that partition alone), as the reference's
+view generators write each routed view as one stream.  Each partition's
+JSON manifest is its commit record: its counters and per-view row counts,
+the file it lives in with that file's partition list, and the file's CRC.
+A partition counts as committed only if every partition of its file
+committed too.  Before the exchange the driver sweeps the out dir
+(``lineage.sweep_uncommitted``): invalid manifests and every sink file no
+valid manifest names are deleted, so a killed run resumes by skipping
+committed partitions with no duplicate or missing routed rows, even when
+the rerun's batch plan differs (state/lineage.py).
 """
 
 from __future__ import annotations
@@ -71,6 +80,10 @@ from ..stages.filters import RateLimitConfig
 from ..stages.normalize import NormalizeConfig, normalize, split_bypass
 from ..stages.views import VIEW_BUILDERS
 from ..state import lineage
+
+#: The sink dirs the partition stage writes: the six views and the metrics
+#: combiner's partials.
+SINKS = (*VIEW_BUILDERS, "metrics_partial")
 
 
 @dataclass
@@ -114,12 +127,13 @@ def process_partition(table: pa.Table, *, registry, **options):
     ``PartitionProcessor`` runs before writing sinks); tests call it to
     check views in-process.
 
-    The views dict includes ``metrics_partial`` — the per-partition combiner
-    of the windowed metric aggregation (A1).  The final combine over these
-    partials is tiny (≤ dims × partitions rows), so the metrics stage never
-    re-reads or re-shuffles the full per-turn data.
+    The views dict includes ``metrics_partial`` — the combiner of the
+    windowed metric aggregation (A1).  The final combine over these
+    partials is tiny (≤ dims × reduce batches rows), so the metrics stage
+    never re-reads or re-shuffles the full per-turn data.
     """
-    return process_partitions([table], registry=registry, **options)[0]
+    views, stats = process_partitions([table], registry=registry, **options)
+    return views, stats[0]
 
 
 def _drop_and_assemble(
@@ -183,25 +197,6 @@ def _drop_and_assemble(
     }
 
 
-def _split_by_partition(table: pa.Table, conv_ids, part_of_conv, n_parts: int):
-    """Split a view built over a whole batch back into ``n_parts``
-    per-partition tables by each row's ``conv_id`` (``conv_ids[i]`` lives
-    in partition ``part_of_conv[i]``).  A stable sort by partition keeps
-    every partition's rows in the order its own pass would have built them
-    — needed because some views (``call_edges``) are ordered by scenario,
-    not conversation."""
-    idx = pc.index_in(table["conv_id"], value_set=conv_ids)
-    part = part_of_conv[idx.to_numpy(zero_copy_only=False)]
-    if len(part) > 1 and (np.diff(part) < 0).any():
-        order = np.argsort(part, kind="stable")
-        table = table.take(pa.array(order))
-        part = part[order]
-    bounds = np.searchsorted(part, np.arange(n_parts + 1))
-    return [
-        table.slice(lo, hi - lo) for lo, hi in zip(bounds[:-1], bounds[1:])
-    ]
-
-
 def process_partitions(
     tables,
     *,
@@ -217,8 +212,10 @@ def process_partitions(
     rate_limit: Optional["RateLimitConfig"] = None,
 ):
     """Batch core: several normalized partitions (each sorted by conv_id,
-    turn_idx, ts) → one ``(views dict, stats dict)`` per partition, equal to
-    what :func:`process_partition` gives for that partition alone.
+    turn_idx, ts) → ``(views dict, [stats dict per partition])``.  The
+    views cover the whole batch; each partition's stats (counters and
+    ``view_counts``) equal what :func:`process_partition` gives for that
+    partition alone.
 
     What is fused and what is not:
 
@@ -230,9 +227,11 @@ def process_partitions(
       stays exact for its partition;
     - the enricher DAG, the conversation context and the six view builders
       are conversation-local, so they run ONCE over the batch (fixed
-      per-call cost paid once, TraceEmitPunctuator-style amortization) and
-      each view is split back by ``conv_id``;
-    - the metrics partial runs per partition over its own ``per_turn``.
+      per-call cost paid once, TraceEmitPunctuator-style amortization);
+      each partition's view row counts come from a ``bincount`` over the
+      partition of each row's ``conv_id``;
+    - the metrics partial runs once over the batch's ``per_turn``: the
+      final combine sums partials, so how they are cut does not matter.
     """
     from ..stages.metrics import partial_counts
     from ..stages.normalize import DEFAULT_TENANT, extract_batch
@@ -270,7 +269,7 @@ def process_partitions(
     ctx = ConversationContext(enriched)
     views = {name: builder(enriched, ctx) for name, builder in VIEW_BUILDERS.items()}
     if len(tables) == 1:
-        per_part = [views]
+        counts = {name: [t.num_rows] for name, t in views.items()}
     else:
         # hash partitioning makes conversation ids unique across the batch
         conv_ids = [pc.unique(a["conv_id"]) for a in assembled]
@@ -278,19 +277,21 @@ def process_partitions(
             np.arange(len(assembled)), [len(c) for c in conv_ids]
         )
         conv_ids = pa.concat_arrays(conv_ids)
-        split = {
-            name: _split_by_partition(tbl, conv_ids, part_of_conv, len(tables))
-            for name, tbl in views.items()
+        counts = {
+            name: np.bincount(
+                part_of_conv[
+                    pc.index_in(t["conv_id"], value_set=conv_ids).to_numpy(
+                        zero_copy_only=False
+                    )
+                ],
+                minlength=len(tables),
+            ).tolist()
+            for name, t in views.items()
         }
-        per_part = [
-            {name: split[name][i] for name in views} for i in range(len(tables))
-        ]
-    out = []
-    for v, st in zip(per_part, stats):
-        v["metrics_partial"] = partial_counts(v["per_turn"], metrics_window)
-        st["view_counts"] = {k: t.num_rows for k, t in v.items()}
-        out.append((v, st))
-    return out
+    for i, st in enumerate(stats):
+        st["view_counts"] = {name: c[i] for name, c in counts.items()}
+    views["metrics_partial"] = partial_counts(views["per_turn"], metrics_window)
+    return views, stats
 
 
 # Per-worker-process processor cache (the process-wide singleton
@@ -374,23 +375,31 @@ class PartitionProcessor:
     def __call__(self, part: pa.Table, part_id: int) -> pa.Table:
         return self.process_batch([(part_id, part)])
 
-    def process_batch(self, parts) -> pa.Table:
+    def process_batch(self, parts, committed=None) -> pa.Table:
         """Partition stage over ``[(part_id, table), ...]`` (ascending
         part ids) in one call: committed partitions are skipped, the rest
-        go through :func:`process_partitions` together, then each partition
-        is written and committed in turn — the partition stays the unit of
-        commit and resume.  Returns one stats row per partition."""
+        go through :func:`process_partitions` together and are written as
+        ONE file per sink, named by the first of them; then each is
+        committed in turn — the partition stays the unit of commit and
+        resume.  ``committed`` (``{part_id: manifest}`` from the driver's
+        :func:`lineage.sweep_uncommitted`) says which partitions are
+        committed; without it each partition's manifest is validated here.
+        Returns one stats row per partition."""
         rows = {}
         todo = []
         for part_id, part in parts:
-            existing = lineage.load_manifest(self.out_dir, part_id)
+            existing = (
+                lineage.load_manifest(self.out_dir, part_id)
+                if committed is None
+                else committed.get(part_id)
+            )
             if existing is not None:
                 rows[part_id] = self._stats_row(part_id, existing, resumed=True)
             else:
                 todo.append((part_id, part))
         if todo:
             cfg = self.config
-            results = process_partitions(
+            views, stats = process_partitions(
                 [part for _, part in todo],
                 registry=self.registry,
                 max_turns_per_conv=cfg.max_turns_per_conv,
@@ -403,30 +412,30 @@ class PartitionProcessor:
                 tenant_column=cfg.normalize.tenant_column,
                 rate_limit=cfg.rate_limit,
             )
-            for (part_id, _), (views, stats) in zip(todo, results):
-                self._commit(part_id, views, stats)
-                rows[part_id] = self._stats_row(part_id, stats, resumed=False)
+            file_parts = [part_id for part_id, _ in todo]
+            checksums = {
+                name: lineage.write_view_part(
+                    self.out_dir, name, file_parts[0], tbl
+                )[1]
+                for name, tbl in views.items()
+            }
+            for part_id, st in zip(file_parts, stats):
+                lineage.commit_manifest(
+                    self.out_dir,
+                    part_id,
+                    rows_in=st["rows_in"],
+                    rows_deduped=st["rows_deduped"],
+                    rows_capped=st["rows_capped"],
+                    view_counts=st["view_counts"],
+                    view_checksums=checksums,
+                    file_parts=file_parts,
+                    extra={
+                        "rows_no_tenant": st["rows_no_tenant"],
+                        "rows_rate_limited": st["rows_rate_limited"],
+                    },
+                )
+                rows[part_id] = self._stats_row(part_id, st, resumed=False)
         return pa.concat_tables([rows[part_id] for part_id, _ in parts])
-
-    def _commit(self, part_id: int, views: dict, stats: dict) -> None:
-        checksums = {}
-        for name, tbl in views.items():
-            _, checksums[name] = lineage.write_view_part(
-                self.out_dir, name, part_id, tbl
-            )
-        lineage.commit_manifest(
-            self.out_dir,
-            part_id,
-            rows_in=stats["rows_in"],
-            rows_deduped=stats["rows_deduped"],
-            rows_capped=stats["rows_capped"],
-            view_counts=stats["view_counts"],
-            view_checksums=checksums,
-            extra={
-                "rows_no_tenant": stats["rows_no_tenant"],
-                "rows_rate_limited": stats["rows_rate_limited"],
-            },
-        )
 
 
 def _cached_processor(out_dir, config, peer_index, cache_key):
@@ -445,11 +454,12 @@ def _partition_batch_task(
     config: "PipelineConfig",
     peer_index: Optional[Dict[str, str]],
     cache_key: str,
+    committed: Dict[int, dict],
 ):
     """Stateless-task form of the partition stage for one reduce batch of
-    the direct exchange."""
+    the direct exchange (or one bucket of bucketed replay)."""
     return _cached_processor(out_dir, config, peer_index, cache_key).process_batch(
-        parts
+        parts, committed
     )
 
 
@@ -457,8 +467,8 @@ DISTRIBUTED_METRICS_THRESHOLD = 64 * 1024 * 1024
 
 
 def finalize_metrics(out_dir: str, *, force_distributed: bool = False) -> None:
-    """Final combine over the per-partition metric partials.  Partial volume
-    is bounded by dims × partitions; below the threshold a single-process
+    """Final combine over the per-batch metric partials.  Partial volume
+    is bounded by dims × reduce batches; below the threshold a single-process
     Arrow group-by beats spinning up another distributed pipeline, above it
     (dims exploded: very fine windows × high cardinality) the combine runs
     as a Ray groupby."""
@@ -698,6 +708,7 @@ def run_pipeline(
             "config": repr(config),
             "input": _input_fingerprint(input_path_or_ds),
             "bucketed_corpus": bucketed_corpus,
+            "sink_layout": lineage.SINK_LAYOUT,
         },
         filename="_run_config.json",
         kind="pipeline out_dir",
@@ -746,6 +757,10 @@ def run_pipeline(
     # S6 analog: write the sink schema manifest once at pipeline start
     # (the Pinot view-creator bootstrap job)
     _write_schema_manifest(out_dir)
+    # resume: the committed partitions, with every sink file of an
+    # uncommitted one (a killed batch's orphans) deleted before any task
+    # writes — the batch plan may differ from the killed run's
+    committed = lineage.sweep_uncommitted(out_dir, SINKS)
 
     import hashlib
     from functools import partial
@@ -753,8 +768,13 @@ def run_pipeline(
     cache_key = hashlib.md5(
         (out_dir + repr(config) + repr(sorted((peer_index or {}).items()))).encode()
     ).hexdigest()
-    task_kwargs = dict(
-        out_dir=out_dir, config=config, peer_index=peer_index, cache_key=cache_key
+    batch_task = partial(
+        _partition_batch_task,
+        out_dir=out_dir,
+        config=config,
+        peer_index=peer_index,
+        cache_key=cache_key,
+        committed=committed,
     )
     if bucketed_corpus is not None:
         from ..stages.sinks import bucketed_group_apply
@@ -762,7 +782,7 @@ def run_pipeline(
         def _run_bucket(part: pa.Table, part_id: int) -> pa.Table:
             if part.num_rows == 0:  # hash range empty at bucketing time
                 return PartitionProcessor.STATS_SCHEMA.empty_table()
-            return _cached_processor(**task_kwargs)(part, part_id)
+            return batch_task([(part_id, part)])
 
         stats = bucketed_group_apply(
             os.path.join(bucketed_corpus, "main"),
@@ -781,7 +801,7 @@ def run_pipeline(
         stats_refs = group_apply_batches(
             main,
             "conv_id",
-            partial(_partition_batch_task, **task_kwargs),
+            batch_task,
             sort_by=["turn_idx", "ts"],
             num_partitions=config.num_partitions,
         )
@@ -815,10 +835,10 @@ def run_pipeline(
             bp.write_parquet(tmp)
             os.rename(tmp, bp_dir)
 
-    # metrics stage: final combine over the per-partition partial counts
+    # metrics stage: final combine over the per-batch partial counts
     # written by the partition stage (the combiner pattern — the full per-turn
     # data is never re-read or re-shuffled).  Partial volume is bounded by
-    # dims × partitions; for the sizes this yields, a single-process Arrow
+    # dims × reduce batches; for the sizes this yields, a single-process Arrow
     # group-by beats spinning up another distributed pipeline.  Should dims
     # explode (very fine windows × high service cardinality), swap this for
     # `windowed_metrics(view_dataset(out_dir, "metrics_partial"))`.

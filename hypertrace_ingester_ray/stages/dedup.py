@@ -171,6 +171,7 @@ def _blocked_pairs(
     bucket_data: Optional[Callable[[pa.Table], np.ndarray]] = None,
     pair_filter: Optional[Callable] = None,
     combine: Optional[str] = "first",
+    distinct_ids: bool = False,
     cap: Optional[int] = None,
     cap_error: Optional[str] = None,
     label: str = "blocked-pairs",
@@ -190,6 +191,8 @@ def _blocked_pairs(
       other member ``j``.  ``score`` names and types its score column.
     - ``combine``: ``"first"`` keeps one row per pair, ``"count"`` also
       counts its buckets as ``n_shared``, ``None`` skips the exchange.
+    - ``distinct_ids``: an id on several rows of one bucket counts once,
+      as a ``SELECT DISTINCT id, key`` would.
 
     Returns ``(*pair_cols, [score])`` with int64 ids, ``a < b``.
     """
@@ -205,7 +208,11 @@ def _blocked_pairs(
         if part.num_rows == 0:
             return schema.empty_table()
         ids = part[id_col].to_numpy(zero_copy_only=False)
-        bounds = run_boundaries(part[key].to_numpy(zero_copy_only=False))
+        kv = part[key].to_numpy(zero_copy_only=False)
+        if distinct_ids:  # sorted by (key, id): keep each run's first row
+            first = run_boundaries(kv, ids)[:-1]
+            part, ids, kv = part.take(pa.array(first)), ids[first], kv[first]
+        bounds = run_boundaries(kv)
         data = bucket_data(part) if bucket_data else None
         cols = ([], [], [])
         star_buckets = star_rows = 0
@@ -244,13 +251,15 @@ def _blocked_pairs(
             schema=schema,
         )
 
-    pairs = group_apply(rows, key, _expand, sort_by=[id_col], **kw)
+    pairs = group_apply(rows, key, _expand, sort_by=[id_col], schema=schema, **kw)
     if combine is None:
         return pairs
     count_col = "n_shared" if combine == "count" else None
+    if count_col:
+        schema = schema.append(pa.field(count_col, pa.int64()))
     return group_apply(
         pairs, [a_col, b_col], partial(_dedup_pair_rows, count_col=count_col),
-        **kw,
+        schema=schema, **kw,
     )
 
 
@@ -1094,14 +1103,16 @@ def shared_key_pairs(
     """Distinct ``(key, doc)`` rows → ``(doc_a, doc_b, n_shared)``: pairs of
     docs sharing at least one key, with the count of shared keys.  One
     exchange on the key, in-bucket id-ordered pair expansion (singleton
-    keys cost nothing), multi-key run-length counts.  A key shared by more
-    than ``bucket_cap`` docs raises loudly (quadratic output); a row
-    pairs with no other row of its own id."""
+    keys cost nothing), multi-key run-length counts.  A doc on several
+    rows shares a key once (``n_shared`` counts distinct keys).  A key
+    shared by more than ``bucket_cap`` docs raises loudly (quadratic
+    output)."""
     return _blocked_pairs(
         rows,
         key_col,
         id_col,
         combine="count",
+        distinct_ids=True,
         cap=bucket_cap,
         cap_error=(
             f"{label}: key shared by {{m}} docs exceeds "

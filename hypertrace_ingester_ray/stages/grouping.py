@@ -555,6 +555,7 @@ def group_apply(
     sort_by: Optional[Sequence[str]] = None,
     num_partitions: int = DEFAULT_NUM_PARTITIONS,
     identity_partition: bool = False,
+    schema: Optional[pa.Schema] = None,
 ) -> Dataset:
     """Apply a partition processor to hash partitions of complete ``key``-groups.
 
@@ -572,7 +573,9 @@ def group_apply(
     multi-return task), so the result has one block per non-empty partition.
     With ``identity_partition`` the first key column already holds the
     partition id in ``[0, num_partitions)`` (range partitioning) and is not
-    hashed.
+    hashed.  ``schema`` is ``fn``'s output schema: when the exchange gets
+    no rows, the result is that schema's empty table (without it, a
+    Dataset with no columns).
     """
     import ray.data as _rd
 
@@ -587,7 +590,7 @@ def group_apply(
         per_partition_returns=True,
     )
     if not refs:
-        return _rd.from_arrow([])
+        return _rd.from_arrow(schema.empty_table() if schema else [])
     return _rd.from_arrow_refs(refs)
 
 

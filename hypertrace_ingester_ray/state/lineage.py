@@ -7,20 +7,34 @@ but no output transactionality, so the engine owns it (SURVEY.md §4):
 
 - deterministic partition layout: partition i of a run always holds the same
   key-groups (hash(conv_id) % P with fixed P and a process-stable hash);
-- every view file is written to ``<path>.tmp`` then ``os.rename``d (atomic on
+- every sink file is written to ``<path>.tmp`` then ``os.rename``d (atomic on
   POSIX);
-- a partition's JSON manifest is written LAST — it is the commit record.  A
-  partition with a valid manifest is skipped on resume, so a killed run never
-  produces duplicate or missing routed rows;
+- a sink file may hold several partitions: the flagship's reduce task writes
+  ONE file per view for its whole batch, named by the batch's first written
+  partition (``part_file(out_dir, view, first_pid)``);
+- a partition's JSON manifest is written LAST — it is the commit record.  It
+  names the file its rows live in (``file_part``), that file's partition list
+  (``file_parts``) and the file's CRC per view (``view_checksums``);
+- a partition is committed only if its manifest is valid, its file's CRC
+  matches, and every partition of the file's list has a manifest naming the
+  same file — so a batch killed between its commits counts as not committed
+  at all, and is recomputed whole;
+- before the partition stage, :func:`sweep_uncommitted` deletes invalid
+  manifests and every sink file no valid manifest names (the orphans of a
+  killed batch), CRCing each shared file once.  A killed run therefore
+  never produces duplicate or missing routed rows, even when the batch plan
+  changes between runs;
 - the manifest carries lineage + metrics: input row count, per-sink routed row
-  counts, dropped/dedup counts, and a content checksum.
+  counts, dropped/dedup counts, and the content checksums.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import zlib
+from functools import partial
 from typing import Dict, Optional
 
 import pyarrow as pa
@@ -28,6 +42,9 @@ import pyarrow.parquet as pq
 
 MANIFEST_DIR = "_manifests"
 RUN_MANIFEST = "_run_manifest.json"
+#: Recorded in a pipeline out dir's identity record: out dirs written with
+#: one sink file per partition (before batch files) are refused on resume.
+SINK_LAYOUT = "batch-files"
 
 
 def part_file(out_dir: str, view: str, part_id: int) -> str:
@@ -110,27 +127,111 @@ def write_view_part(out_dir: str, view: str, part_id: int, table: pa.Table):
     return table.num_rows, w.crc
 
 
-def load_manifest(out_dir: str, part_id: int) -> Optional[dict]:
-    path = manifest_path(out_dir, part_id)
-    if not os.path.exists(path):
-        return None
+def _read_manifest(out_dir: str, part_id: int) -> Optional[dict]:
+    """A partition's manifest as written, or None if absent or unreadable."""
     try:
-        with open(path) as f:
-            m = json.load(f)
+        with open(manifest_path(out_dir, part_id)) as f:
+            return json.load(f)
     except (OSError, json.JSONDecodeError):
         return None
-    # validate: every referenced sink file must exist AND match its committed
-    # checksum (a manifest whose data files are missing or corrupted is
-    # invalid and forces recompute)
+
+
+def _file_of(m: dict, part_id: int):
+    """(first partition id, partition list) of the file a manifest names;
+    manifests of one-file-per-partition sinks omit both."""
+    return m.get("file_part", part_id), m.get("file_parts", [part_id])
+
+
+def _sink_paths(out_dir: str, m: dict, part_id: int) -> Dict[str, str]:
+    """``{view: path}`` of the sink files a manifest commits to."""
+    first = _file_of(m, part_id)[0]
+    views = {**m.get("view_counts", {}), **m.get("view_checksums", {})}
+    return {view: part_file(out_dir, view, first) for view in views}
+
+
+def _valid(out_dir: str, part_id: int, read, verified: dict) -> Optional[dict]:
+    """``part_id``'s manifest if the partition is committed, else None.
+    ``read(p)`` returns partition ``p``'s raw manifest; ``verified`` maps a
+    (file path, CRC) to whether the file matches, so a file shared by
+    several partitions is read once."""
+    m = read(part_id)
+    if m is None:
+        return None
+    first, parts = _file_of(m, part_id)
+    if part_id not in parts:
+        return None
+    # every partition of the file's list must have committed the same file:
+    # a batch killed between its commits leaves none of them committed
+    for p in parts:
+        if p != part_id:
+            o = read(p)
+            if o is None or _file_of(o, p) != (first, parts) or o.get(
+                "view_checksums"
+            ) != m.get("view_checksums"):
+                return None
+    # every referenced sink file must exist AND match its committed checksum
     checksums = m.get("view_checksums", {})
-    for view in m.get("view_counts", {}):
-        fp = part_file(out_dir, view, part_id)
-        if not os.path.exists(fp):
-            return None
-        want = checksums.get(view)
-        if want is not None and checksum_file(fp) != want:
+    for view, fp in _sink_paths(out_dir, m, part_id).items():
+        key = (fp, checksums.get(view))
+        if key not in verified:
+            verified[key] = os.path.exists(fp) and (
+                key[1] is None or checksum_file(fp) == key[1]
+            )
+        if not verified[key]:
             return None
     return m
+
+
+def load_manifest(out_dir: str, part_id: int) -> Optional[dict]:
+    """The manifest of a committed partition, or None (absent, unreadable,
+    a file missing or corrupted, or a file-mate uncommitted): the partition
+    must be recomputed."""
+    return _valid(out_dir, part_id, partial(_read_manifest, out_dir), {})
+
+
+_PART_FILE = re.compile(r"part-(\d+)\.(json|parquet)(\.tmp)?")
+
+
+def sweep_uncommitted(out_dir: str, views) -> Dict[int, dict]:
+    """Driver-side, before the partition stage: validate every manifest
+    (each shared sink file CRC'd once), delete the invalid manifests and
+    every ``part-<n>.parquet`` (or ``.tmp``) file in the ``views`` sink dirs
+    that no valid manifest names.  Returns ``{part_id: manifest}`` of the
+    committed partitions.
+
+    Without the sweep, a batch killed before all of its commits leaves a
+    file that the rerun — whose batch plan may differ — never overwrites,
+    and a reader of the sink dir would see those rows twice."""
+    mdir = os.path.join(out_dir, MANIFEST_DIR)
+    names = os.listdir(mdir) if os.path.isdir(mdir) else []
+    raw = {}
+    for name in names:
+        mt = _PART_FILE.fullmatch(name)
+        if mt and mt.group(2) == "json" and not mt.group(3):
+            raw[int(mt.group(1))] = _read_manifest(out_dir, int(mt.group(1)))
+    verified = {}
+    committed = {}
+    for pid in raw:
+        m = _valid(out_dir, pid, raw.get, verified)
+        if m is None:
+            os.remove(manifest_path(out_dir, pid))
+        else:
+            committed[pid] = m
+    keep = {
+        fp for pid, m in committed.items() for fp in _sink_paths(out_dir, m, pid).values()
+    }
+    for view in views:
+        vdir = os.path.join(out_dir, view)
+        if not os.path.isdir(vdir):
+            continue
+        for name in os.listdir(vdir):
+            path = os.path.join(vdir, name)
+            if _PART_FILE.fullmatch(name) and path not in keep:
+                os.remove(path)
+    for name in names:  # torn manifest writes
+        if name.endswith(".tmp"):
+            os.remove(os.path.join(mdir, name))
+    return committed
 
 
 def commit_manifest(
@@ -142,8 +243,13 @@ def commit_manifest(
     rows_capped: int,
     view_counts: Dict[str, int],
     view_checksums: Optional[Dict[str, int]] = None,
+    file_parts: Optional[list] = None,
     extra: Optional[dict] = None,
 ) -> dict:
+    """Commit one partition.  ``file_parts`` lists the partitions of the
+    sink file the partition's rows live in (ascending; the file is named by
+    the first); default: a file of its own."""
+    file_parts = [part_id] if file_parts is None else list(file_parts)
     m = {
         "part_id": part_id,
         "rows_in": rows_in,
@@ -151,6 +257,8 @@ def commit_manifest(
         "rows_capped": rows_capped,
         "view_counts": view_counts,
         "view_checksums": view_checksums or {},
+        "file_part": file_parts[0],
+        "file_parts": file_parts,
         **(extra or {}),
     }
     path = manifest_path(out_dir, part_id)

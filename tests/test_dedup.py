@@ -501,3 +501,49 @@ def test_repeated_id_gives_no_self_pair(ray_session):
         ray.data.from_arrow(docs), k=20, num_partitions=2
     ).to_pandas()
     assert got.empty, got
+
+
+def test_simhash_pairs_without_pairs_keep_columns(ray_session):
+    """No surviving pair: the frame is empty but keeps its typed columns."""
+    import pyarrow as pa
+    import ray
+    import ray.data
+
+    from hypertrace_ingester_ray.stages import dedup
+
+    t = pa.table(
+        {
+            "doc_id": pa.array([1, 2], pa.int64()),
+            "text": ["the quick brown fox jumps over the lazy dog",
+                     "completely unrelated words about tax law and rivers"],
+        }
+    )
+    ds = dedup.simhash_pairs(ray.data.from_arrow(t), max_hamming=0, num_partitions=2)
+    # (Ray's to_pandas drops the columns of zero-row blocks; the blocks
+    # themselves carry them)
+    got = pa.concat_tables(ray.get(ds.to_arrow_refs())).to_pandas()
+    assert got.empty
+    assert list(got.columns) == ["doc_a", "doc_b", "hamming"]
+    assert ds.schema().names == ["doc_a", "doc_b", "hamming"]
+
+
+def test_shared_key_pairs_count_distinct_docs(ray_session):
+    """A doc on two rows shares each gram once, as the oracle's
+    ``SELECT DISTINCT doc_id, gram`` counts it."""
+    import pyarrow as pa
+    import ray.data
+
+    from hypertrace_ingester_ray.stages import dedup
+
+    s = "a document long enough to share several grams"
+    docs = pa.table(
+        {
+            "doc_id": pa.array([9, 9, 4], pa.int64()),
+            "text": [s, s, "prefix: " + s[:30]],
+        }
+    )
+    got = dedup.substring_overlap_pairs(
+        ray.data.from_arrow(docs), k=20, num_partitions=2
+    ).to_pandas()
+    # s[:30] holds 30 - 20 + 1 distinct 20-grams of s
+    assert list(got.itertuples(index=False, name=None)) == [(4, 9, 11)]

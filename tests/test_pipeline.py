@@ -55,9 +55,10 @@ def test_per_turn_text_equality(pipeline_out, sf_dir):
 
 def test_sink_layout_and_manifests(pipeline_out):
     out, summary = pipeline_out
-    for view in summary["view_counts"]:
+    # one file per (reduce batch, sink), one manifest per partition
+    for view in [*summary["view_counts"], "metrics_partial"]:
         files = glob.glob(os.path.join(out, view, "*.parquet"))
-        assert len(files) == summary["num_partitions"]
+        assert len(files) == summary["reduce_tasks"]
     manifests = glob.glob(os.path.join(out, "_manifests", "*.json"))
     assert len(manifests) == summary["num_partitions"]
     with open(os.path.join(out, "_run_manifest.json")) as f:
@@ -84,17 +85,27 @@ def test_kill_resume_no_dup_no_missing(tmp_path, sf_dir):
     cfg = PipelineConfig(num_partitions=8)
     s1 = run_pipeline(transcripts_from_events(sf_dir), out, cfg)
 
-    # destroy the commit record AND data of partitions 0..3 (simulated crash
-    # before their manifests were written); also leave a stray tmp file
+    # destroy the commit record of partitions 0..3 AND the per_turn files
+    # they live in (simulated crash before their manifests were written);
+    # also leave a stray tmp file.  Partitions sharing a file with them
+    # lose their data too and must be recomputed.
+    lost = set()
     for pid in range(4):
-        os.remove(os.path.join(out, "_manifests", f"part-{pid:05d}.json"))
-        os.remove(os.path.join(out, "per_turn", f"part-{pid:05d}.parquet"))
+        path = os.path.join(out, "_manifests", f"part-{pid:05d}.json")
+        with open(path) as f:
+            m = json.load(f)
+        lost |= set(m["file_parts"])
+        os.remove(path)
+        data = os.path.join(out, "per_turn", f"part-{m['file_part']:05d}.parquet")
+        if os.path.exists(data):
+            os.remove(data)
     open(os.path.join(out, "per_turn", "part-00000.parquet.tmp"), "w").close()
     os.remove(os.path.join(out, "_run_manifest.json"))
     shutil.rmtree(os.path.join(out, "metrics"))
 
     s2 = run_pipeline(transcripts_from_events(sf_dir), out, cfg)
-    assert s2["resumed_partitions"] == 4
+    assert s2["resumed_partitions"] == s1["num_partitions"] - len(lost)
+    assert s2["resumed_partitions"] > 0
     assert s2["view_counts"] == s1["view_counts"]
     pt = view_dataset(out, "per_turn").to_pandas()
     assert len(pt) == s1["view_counts"]["per_turn"]

@@ -18,6 +18,15 @@ no duplicate and no missing routed rows):
     python tools/soak_resume.py run --out /dev/shm/soakB
     python tools/soak_resume.py compare --a /dev/shm/soakA --b /dev/shm/soakB
 
+Ray starts with ``os.cpu_count()`` CPUs (``RAY_GRAFT_CPUS`` overrides) and
+its default object-store size (``HTR_OBJECT_STORE_GB`` overrides).
+``GRAFT_SF_DIR`` picks the source scale (default sf0.1, about 96M turns;
+an sf0.01 dir gives a tenth) and ``HTR_TURNS_PER_EVENT`` the turns per
+source event (default 960).  At 960 every hash partition is above the
+reduce-batch target and runs alone; smaller values (48 at sf0.01: about
+3k rows per partition) make partitions share sink files, so a kill can
+land between the commits of one batch.
+
 Features exercised (all post-round-1, hence the re-run — the original soak
 evidence in BASELINE.md predates them):
 - M2 column-derived tenant with drop-if-absent (every 101st conv carries no
@@ -114,11 +123,13 @@ def run(out_dir: str) -> dict:
     import ray
 
     if not ray.is_initialized():
+        # the box's CPUs and Ray's own object-store sizing unless overridden
+        store_gb = os.environ.get("HTR_OBJECT_STORE_GB")
         ray.init(
             address="local",
-            num_cpus=int(os.environ.get("RAY_GRAFT_CPUS", "32")),
+            num_cpus=int(os.environ.get("RAY_GRAFT_CPUS", os.cpu_count())),
             include_dashboard=False,
-            object_store_memory=int(60e9),
+            object_store_memory=int(float(store_gb) * 1e9) if store_gb else None,
         )
     import logging
 
