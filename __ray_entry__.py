@@ -39,6 +39,7 @@ from hypertrace_ingester_ray.pipelines.ingest import (
 )
 from hypertrace_ingester_ray.pipelines import relational
 from hypertrace_ingester_ray.stages import corpus, dedup, similarity, text_analysis
+from hypertrace_ingester_ray.stages.grouping import combine_by_key, top_k
 
 # ---------------------------------------------------------------------------
 # shared SQL fragments (enrichment chain mirrored with window functions)
@@ -578,32 +579,24 @@ def _order_priority_revenue(sf_dir: str):
         columns=["o_orderkey", "o_orderpriority"],
     )
     j = cogroup_join(li, od, on=["l_orderkey"], right_on=["o_orderkey"], num_partitions=16)
-    names = ["o_orderpriority", "revenue_cents", "num_items"]
-    from hypertrace_ingester_ray.stages.grouping import (
-        fill_null_keys,
-        restore_null_keys,
-    )
 
     def partial(batch: pa.Table) -> pa.Table:
         cents = pc.cast(
             pc.floor(pc.multiply(batch["l_extendedprice"], pa.scalar(100.0))),
             pa.int64(),
         )
-        t = pa.table({"o_orderpriority": batch["o_orderpriority"], "revenue_cents": cents})
-        out = (
-            t.group_by(["o_orderpriority"])
-            .aggregate([("revenue_cents", "sum"), ([], "count_all")])
-            .rename_columns(names)
+        return pa.table(
+            {
+                "o_orderpriority": batch["o_orderpriority"],
+                "revenue_cents": cents,
+                "num_items": pa.array(np.ones(batch.num_rows, np.int64)),
+            }
         )
-        # sort-shuffle groupby can't order null keys; sentinel round-trip
-        return fill_null_keys(out, "o_orderpriority")
 
-    agg = j.map_batches(partial, batch_format="pyarrow").groupby(
-        "o_orderpriority"
-    ).sum(["revenue_cents", "num_items"])
-    return agg.map_batches(
-        lambda b: restore_null_keys(b.rename_columns(names), "o_orderpriority"),
-        batch_format="pyarrow",
+    return combine_by_key(
+        j.map_batches(partial, batch_format="pyarrow"),
+        "o_orderpriority",
+        [("revenue_cents", "sum"), ("num_items", "sum")],
     )
 
 
@@ -669,7 +662,7 @@ def _clicks_before_error(sf_dir: str):
 
 def _events_sliding_1h(sf_dir: str):
     """Hopping-window aggregate: 1 h sliding windows on a 15 min hop —
-    partial combine inside map_batches, tiny global groupby (A1 sliding
+    partial combine inside map_batches, tiny global combine (A1 sliding
     companion)."""
     import ray.data
 
@@ -1597,14 +1590,10 @@ def _incremental_contamination(sf_dir: str):
         )
         return agg.rename_columns(["new_id", "base_id", "n_shared"])
 
-    return (
-        joined.map_batches(_partial, batch_format="pyarrow")
-        .groupby(["new_id", "base_id"])
-        .sum("n_shared")
-        .map_batches(
-            lambda t: t.rename_columns(["new_id", "base_id", "n_shared"]),
-            batch_format="pyarrow",
-        )
+    return combine_by_key(
+        joined.map_batches(_partial, batch_format="pyarrow"),
+        ["new_id", "base_id"],
+        [("n_shared", "sum")],
     )
 
 
@@ -1762,7 +1751,6 @@ def _user_day_views_purchases_full(sf_dir: str):
     import pyarrow as pa
     import pyarrow.compute as pc
 
-    from hypertrace_ingester_ray.stages.grouping import group_apply
     from hypertrace_ingester_ray.stages.joins import cogroup_join
 
     ds = _rpq(
@@ -1781,15 +1769,10 @@ def _user_day_views_purchases_full(sf_dir: str):
             )
             return g.rename_columns(["user_id", "day", out])
 
-        def _final(part: pa.Table) -> pa.Table:
-            g = part.group_by(["user_id", "day"]).aggregate([(out, "sum")])
-            return g.rename_columns(["user_id", "day", out])
-
-        return group_apply(
+        return combine_by_key(
             ds.map_batches(_partial, batch_format="pyarrow"),
             ["user_id", "day"],
-            _final,
-            num_partitions=16,
+            [(out, "sum")],
         )
 
     return cogroup_join(
@@ -1938,10 +1921,6 @@ def _trending_types_hourly(sf_dir: str):
     import pyarrow.compute as pc
 
     from hypertrace_ingester_ray.stages.corpus import top_k_per_group
-    from hypertrace_ingester_ray.stages.grouping import (
-        fill_null_keys,
-        restore_null_keys,
-    )
 
     ds = _rpq(os.path.join(sf_dir, "events.parquet"), columns=["ts", "event_type"])
 
@@ -1955,22 +1934,12 @@ def _trending_types_hourly(sf_dir: str):
             }
         )
         agg = h.group_by(["hour_us", "event_type"]).aggregate([([], "count_all")])
-        agg = agg.rename_columns(["hour_us", "event_type", "cnt"])
-        # Ray's sort-shuffle groupby can't order null keys — sentinel-fill
-        # here, restore after, so SQL's NULL group survives
-        return fill_null_keys(agg, ["hour_us", "event_type"])
+        return agg.rename_columns(["hour_us", "event_type", "cnt"])
 
-    counts = (
-        ds.map_batches(_partial, batch_format="pyarrow")
-        .groupby(["hour_us", "event_type"])
-        .sum("cnt")
-        .map_batches(
-            lambda t: restore_null_keys(
-                t.rename_columns(["hour_us", "event_type", "cnt"]),
-                ["hour_us", "event_type"],
-            ),
-            batch_format="pyarrow",
-        )
+    counts = combine_by_key(
+        ds.map_batches(_partial, batch_format="pyarrow"),
+        ["hour_us", "event_type"],
+        [("cnt", "sum")],
     )
     top = top_k_per_group(
         counts, group_col="hour_us", order_col="cnt", id_col="event_type", k=3,
@@ -2140,14 +2109,10 @@ def _late_events_by_user(sf_dir: str):
         )
         return agg.rename_columns(["user_id", "n_late"])
 
-    return (
-        w.map_batches(_late_partial, batch_format="pyarrow")
-        .groupby("user_id")
-        .sum("n_late")
-        .map_batches(
-            lambda t: t.rename_columns(["user_id", "n_late"]),
-            batch_format="pyarrow",
-        )
+    return combine_by_key(
+        w.map_batches(_late_partial, batch_format="pyarrow"),
+        "user_id",
+        [("n_late", "sum")],
     )
 
 
@@ -2587,13 +2552,8 @@ def _events_skewjoin_sampled(sf_dir: str):
             .rename_columns(["k", "dim_n"])
         )
 
-    dim = (
-        evk.map_batches(_dim_partial, batch_format="pyarrow")
-        .groupby("k")
-        .sum("dim_n")
-        .map_batches(
-            lambda t: t.rename_columns(["k", "dim_n"]), batch_format="pyarrow"
-        )
+    dim = combine_by_key(
+        evk.map_batches(_dim_partial, batch_format="pyarrow"), "k", [("dim_n", "sum")]
     )
     j = skew_join(evk, dim, on="k", hot_threshold=1000, num_partitions=16)
 
@@ -2613,14 +2573,10 @@ def _events_skewjoin_sampled(sf_dir: str):
             .rename_columns(["size_class", "revenue_cents", "n"])
         )
 
-    agg = (
-        j.map_batches(_rollup, batch_format="pyarrow")
-        .groupby("size_class")
-        .sum(["revenue_cents", "n"])
-    )
-    return agg.map_batches(
-        lambda b: b.rename_columns(["size_class", "revenue_cents", "n"]),
-        batch_format="pyarrow",
+    return combine_by_key(
+        j.map_batches(_rollup, batch_format="pyarrow"),
+        "size_class",
+        [("revenue_cents", "sum"), ("n", "sum")],
     )
 
 
@@ -2645,36 +2601,24 @@ def _order_revenue_skewjoin(sf_dir: str):
         li, od, on="l_orderkey", right_on="o_orderkey", hot_threshold=4,
         num_partitions=16,
     )
-    names = ["o_orderpriority", "revenue_cents", "num_items"]
-    from hypertrace_ingester_ray.stages.grouping import (
-        fill_null_keys,
-        restore_null_keys,
-    )
 
     def partial(batch: pa.Table) -> pa.Table:
         cents = pc.cast(
             pc.floor(pc.multiply(batch["l_extendedprice"], pa.scalar(100.0))),
             pa.int64(),
         )
-        t = pa.table(
-            {"o_orderpriority": batch["o_orderpriority"], "revenue_cents": cents}
+        return pa.table(
+            {
+                "o_orderpriority": batch["o_orderpriority"],
+                "revenue_cents": cents,
+                "num_items": pa.array(np.ones(batch.num_rows, np.int64)),
+            }
         )
-        out = (
-            t.group_by(["o_orderpriority"])
-            .aggregate([("revenue_cents", "sum"), ([], "count_all")])
-            .rename_columns(names)
-        )
-        # sort-shuffle groupby can't order null keys; sentinel round-trip
-        return fill_null_keys(out, "o_orderpriority")
 
-    agg = (
-        j.map_batches(partial, batch_format="pyarrow")
-        .groupby("o_orderpriority")
-        .sum(["revenue_cents", "num_items"])
-    )
-    return agg.map_batches(
-        lambda b: restore_null_keys(b.rename_columns(names), "o_orderpriority"),
-        batch_format="pyarrow",
+    return combine_by_key(
+        j.map_batches(partial, batch_format="pyarrow"),
+        "o_orderpriority",
+        [("revenue_cents", "sum"), ("num_items", "sum")],
     )
 
 
@@ -3053,14 +2997,10 @@ def _top_customers_by_revenue(sf_dir: str):
             .rename_columns(["o_custkey", "revenue_cents"])
         )
 
-    agg = (
-        j.map_batches(_partial, batch_format="pyarrow")
-        .groupby("o_custkey")
-        .sum("revenue_cents")
-        .map_batches(
-            lambda t: t.rename_columns(["o_custkey", "revenue_cents"]),
-            batch_format="pyarrow",
-        )
+    agg = combine_by_key(
+        j.map_batches(_partial, batch_format="pyarrow"),
+        "o_custkey",
+        [("revenue_cents", "sum")],
     )
     cust = pq.read_table(
         os.path.join(sf_dir, "customer.parquet"),
@@ -3076,7 +3016,9 @@ def _top_customers_by_revenue(sf_dir: str):
     out = broadcast_table_join(
         agg, named, on=["o_custkey"], right_on=["c_custkey"], how="left_outer"
     )
-    return out.sort(["revenue_cents", "o_custkey"], descending=[True, False]).limit(10)
+    return top_k(
+        out, [("revenue_cents", "descending"), ("o_custkey", "ascending")], 10
+    )
 
 
 def _events_rolling_value(sf_dir: str):

@@ -175,11 +175,16 @@ class SpaceEnricher(Enricher):
 # ---------------------------------------------------------------------------
 
 
+_PEER_PAIRS = pa.schema([("tool", pa.string()), ("service", pa.string())])
+
+
 def build_peer_index(normalized_ds, *, max_entries: int = 1_000_000) -> Dict[str, str]:
     """Pass 1: build the small (tool → first caller service) map — the analog
     of client spans publishing ``ip-identity → service_name`` to the shared
-    store (RawSpansProcessor.java:249-345).  Aggregated distributively
-    (per-batch distinct pairs, tiny global combine)."""
+    store (RawSpansProcessor.java:249-345).  Each block reduces to its
+    distinct tools with their smallest caller; those partials (at most one
+    row per tool per block) merge on the driver.  With more than
+    ``max_entries`` tools, the smallest tool names are kept."""
 
     def pairs(batch: pa.Table) -> pa.Table:
         # The CALLER of a tool turn is the preceding turn's service in the
@@ -204,10 +209,7 @@ def build_peer_index(normalized_ds, *, max_entries: int = 1_000_000) -> Dict[str
         is_tool = pa.compute.is_valid(t["tool"]).to_numpy(zero_copy_only=False)
         n = len(conv)
         if n == 0:
-            return pa.table(
-                {"tool": pa.array([], pa.string()),
-                 "service": pa.array([], pa.string())}
-            )
+            return _PEER_PAIRS.empty_table()
         same_conv = np.concatenate([[False], conv[1:] == conv[:-1]])
         keep = is_tool & same_conv
         prev_svc = np.concatenate([[None], svc[:-1]])
@@ -223,14 +225,15 @@ def build_peer_index(normalized_ds, *, max_entries: int = 1_000_000) -> Dict[str
             .rename_columns(["tool", "service"])
         )
 
-    partial = normalized_ds.map_batches(pairs, batch_format="pyarrow")
-    combined = partial.groupby("tool").min("service")
-    out: Dict[str, str] = {}
-    for row in combined.take_all():
-        if len(out) >= max_entries:
-            break
-        out[row["tool"]] = row["min(service)"]
-    return out
+    rows = normalized_ds.map_batches(pairs, batch_format="pyarrow").take_all()
+    index = (
+        pa.Table.from_pylist(rows, schema=_PEER_PAIRS)
+        .group_by("tool")
+        .aggregate([("service", "min")])
+        .sort_by("tool")
+        .slice(0, max_entries)
+    )
+    return dict(zip(index["tool"].to_pylist(), index["service_min"].to_pylist()))
 
 
 class PeerServiceEnricher(Enricher):

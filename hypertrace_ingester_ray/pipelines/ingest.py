@@ -466,16 +466,17 @@ def _partition_batch_task(
 DISTRIBUTED_METRICS_THRESHOLD = 64 * 1024 * 1024
 
 
-def finalize_metrics(out_dir: str, *, force_distributed: bool = False) -> None:
+def finalize_metrics(out_dir: str) -> None:
     """Final combine over the per-batch metric partials.  Partial volume
     is bounded by dims × reduce batches; below the threshold a single-process
     Arrow group-by beats spinning up another distributed pipeline, above it
     (dims exploded: very fine windows × high cardinality) the combine runs
-    as a Ray groupby."""
+    as a :func:`~..stages.grouping.combine_by_key` over the direct exchange."""
     import glob
 
     import pyarrow.parquet as pq
 
+    from ..stages.grouping import combine_by_key
     from ..stages.metrics import METRIC_DIMS, finalize_partials
 
     metrics_dir = os.path.join(out_dir, "metrics")
@@ -487,26 +488,13 @@ def finalize_metrics(out_dir: str, *, force_distributed: bool = False) -> None:
     )
     tmp = metrics_dir + "_tmp"
     shutil.rmtree(tmp, ignore_errors=True)
-    if partial_bytes <= DISTRIBUTED_METRICS_THRESHOLD and not force_distributed:
+    if partial_bytes <= DISTRIBUTED_METRICS_THRESHOLD:
         final = finalize_partials(pq.read_table(partial_dir))
         os.makedirs(tmp, exist_ok=True)
         pq.write_table(final, os.path.join(tmp, "part-00000.parquet"))
     else:
-        import pyarrow.compute as pc
-
-        # int64 window key through the shuffle (see stages/metrics.py note)
-        partials = ray.data.read_parquet(partial_dir).map_batches(
-            lambda b: b.set_column(
-                0, "window_ts", pc.cast(b["window_ts"], pa.int64())
-            ),
-            batch_format="pyarrow",
-        )
-        agg = partials.groupby(METRIC_DIMS).sum("num_calls")
-        agg.map_batches(
-            lambda b: b.rename_columns(METRIC_DIMS + ["num_calls"]).set_column(
-                0, "window_ts", pc.cast(b["window_ts"], pa.timestamp("us"))
-            ),
-            batch_format="pyarrow",
+        combine_by_key(
+            ray.data.read_parquet(partial_dir), METRIC_DIMS, [("num_calls", "sum")]
         ).write_parquet(tmp)
     os.rename(tmp, metrics_dir)
 

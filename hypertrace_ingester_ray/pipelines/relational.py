@@ -1,7 +1,7 @@
 """General relational operator coverage over the TPC-H-ish testdata tables.
 
 These exercise the engine's generic building blocks outside the transcript
-topology: partial-aggregate + global groupby, broadcast hash join (the J1
+topology: partial-aggregate + global combine, broadcast hash join (the J1
 pattern — small side via ``ray.put``, probe inside ``map_batches``),
 sort-limit, and temporal windowed aggregation.
 
@@ -23,7 +23,7 @@ import ray
 import ray.data
 from ray.data import Dataset
 
-from ..stages.grouping import fill_null_keys, restore_null_keys
+from ..stages.grouping import combine_by_key, top_k
 
 
 def _read(sf_dir: str, table: str, columns: Sequence[str]) -> Dataset:
@@ -41,7 +41,7 @@ def _cents(col) -> pa.Array:
 
 def lineitem_pricing_summary(sf_dir: str) -> Dataset:
     """TPC-H Q1-shaped: partial per-batch aggregation, then a tiny global
-    groupby over (returnflag, linestatus)."""
+    combine over (returnflag, linestatus)."""
     ds = _read(
         sf_dir,
         "lineitem",
@@ -73,7 +73,7 @@ def lineitem_pricing_summary(sf_dir: str) -> Dataset:
                 "sum_disc_price_cents": pc.cast(pc.floor(disc_price), pa.int64()),
             }
         )
-        out = (
+        return (
             t.group_by(["l_returnflag", "l_linestatus"])
             .aggregate(
                 [
@@ -85,21 +85,12 @@ def lineitem_pricing_summary(sf_dir: str) -> Dataset:
             )
             .rename_columns(names)
         )
-        # Ray's sort-shuffle groupby can't order null keys; sentinel-fill
-        # so SQL's NULL group survives the exchange (restored in _final)
-        return fill_null_keys(out, ["l_returnflag", "l_linestatus"])
 
-    partials = ds.map_batches(partial, batch_format="pyarrow")
-    agg = partials.groupby(["l_returnflag", "l_linestatus"]).sum(
-        ["sum_qty", "sum_base_price_cents", "sum_disc_price_cents", "count_order"]
+    return combine_by_key(
+        ds.map_batches(partial, batch_format="pyarrow"),
+        names[:2],
+        [(c, "sum") for c in names[2:]],
     )
-
-    def _final(b: pa.Table) -> pa.Table:
-        return restore_null_keys(
-            b.rename_columns(names), ["l_returnflag", "l_linestatus"]
-        )
-
-    return agg.map_batches(_final, batch_format="pyarrow")
 
 
 def revenue_by_nation(sf_dir: str) -> Dataset:
@@ -142,15 +133,17 @@ def revenue_by_nation(sf_dir: str) -> Dataset:
             .rename_columns(names)
         )
 
-    partials = joined.map_batches(_partial, batch_format="pyarrow")
-    agg = partials.groupby("n_name").sum(["revenue_cents", "num_orders"])
-    return agg.map_batches(lambda b: b.rename_columns(names), batch_format="pyarrow")
+    return combine_by_key(
+        joined.map_batches(_partial, batch_format="pyarrow"),
+        "n_name",
+        [("revenue_cents", "sum"), ("num_orders", "sum")],
+    )
 
 
 def top_orders(sf_dir: str, n: int = 10) -> Dataset:
-    """Global sort + limit with a deterministic tiebreak."""
+    """Global top-n with a deterministic tiebreak."""
     ds = _read(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_totalprice"])
-    return ds.sort(["o_totalprice", "o_orderkey"], descending=[True, False]).limit(n)
+    return top_k(ds, [("o_totalprice", "descending"), ("o_orderkey", "ascending")], n)
 
 
 def events_hourly(sf_dir: str) -> Dataset:
@@ -159,41 +152,24 @@ def events_hourly(sf_dir: str) -> Dataset:
     names = ["hour_ts", "event_type", "sum_value_cents", "num_events"]
 
     def partial(batch: pa.Table) -> pa.Table:
-        # the shuffle key rides as int64 micros: Ray's sort-shuffle boundary
-        # sampling round-trips timestamp keys through numpy datetimes and
-        # logs precision warnings (and compares slower than ints)
         t = pa.table(
             {
-                "hour_ts": pc.cast(
-                    pc.floor_temporal(batch["ts"], unit="hour"), pa.int64()
-                ),
+                "hour_ts": pc.floor_temporal(batch["ts"], unit="hour"),
                 "event_type": batch["event_type"],
                 "sum_value_cents": _cents(batch["value"]),
             }
         )
-        out = (
+        return (
             t.group_by(["hour_ts", "event_type"])
             .aggregate([("sum_value_cents", "sum"), ([], "count_all")])
             .rename_columns(names)
         )
-        # Ray's sort-shuffle groupby can't order null keys; sentinel-fill
-        # so SQL's NULL group survives the exchange (restored in _final)
-        return fill_null_keys(out, ["hour_ts", "event_type"])
 
-    partials = ds.map_batches(partial, batch_format="pyarrow")
-    agg = partials.groupby(["hour_ts", "event_type"]).sum(
-        ["sum_value_cents", "num_events"]
+    return combine_by_key(
+        ds.map_batches(partial, batch_format="pyarrow"),
+        names[:2],
+        [(c, "sum") for c in names[2:]],
     )
-
-    def _final(b: pa.Table) -> pa.Table:
-        b = restore_null_keys(
-            b.rename_columns(names), ["hour_ts", "event_type"]
-        )
-        return b.set_column(
-            0, "hour_ts", pc.cast(b["hour_ts"], pa.timestamp("us"))
-        )
-
-    return agg.map_batches(_final, batch_format="pyarrow")
 
 
 def shipping_priority_q3(
@@ -209,7 +185,7 @@ def shipping_priority_q3(
     Plan: the segment's custkeys broadcast (small side via ``ray.put``);
     orders date+semi filtered per batch; lineitem shipdate-filtered with
     per-batch per-orderkey partial revenue sums (integer cents); ONE
-    co-shuffle hash join on orderkey; final small groupby + sort-limit.
+    co-shuffle hash join on orderkey; final small combine + top-k.
     At scale the date predicates belong in the parquet read's row-group
     filter — here they run in the first map_batches over the pruned
     column set."""
@@ -232,14 +208,9 @@ def shipping_priority_q3(
         pos = np.searchsorted(keys, ck)
         pos[pos == len(keys)] = 0
         mask = (od < cutoff_us) & (keys[pos] == ck)
-        out = batch.select(
+        return batch.select(
             ["o_orderkey", "o_orderdate", "o_orderpriority"]
         ).filter(pa.array(mask))
-        # ship the date as int64 us through join+groupby (datetime keys
-        # trip precision-conversion warnings in the shuffle internals)
-        return out.set_column(
-            1, "o_orderdate", pc.cast(out["o_orderdate"], pa.int64())
-        )
 
     orders = _read(
         sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderdate", "o_orderpriority"]
@@ -261,7 +232,11 @@ def shipping_priority_q3(
                 "revenue_cents": pc.cast(pc.floor(disc), pa.int64()),
             }
         )
-        return t.group_by("l_orderkey").aggregate([("revenue_cents", "sum")])
+        return (
+            t.group_by("l_orderkey")
+            .aggregate([("revenue_cents", "sum")])
+            .rename_columns(["l_orderkey", "revenue_cents"])
+        )
 
     li = _read(
         sf_dir, "lineitem", ["l_orderkey", "l_extendedprice", "l_discount", "l_shipdate"]
@@ -276,22 +251,13 @@ def shipping_priority_q3(
         right_on=["o_orderkey"],
         num_partitions=16,
     )
-    agg = joined.groupby(["l_orderkey", "o_orderdate", "o_orderpriority"]).sum(
-        ["revenue_cents_sum"]
+    agg = combine_by_key(
+        joined,
+        ["l_orderkey", "o_orderdate", "o_orderpriority"],
+        [("revenue_cents", "sum")],
     )
-
-    def _name(b: pa.Table) -> pa.Table:
-        b = b.rename_columns(
-            ["l_orderkey", "o_orderdate", "o_orderpriority", "revenue_cents"]
-        )
-        return b.set_column(
-            1, "o_orderdate", pc.cast(b["o_orderdate"], pa.timestamp("us"))
-        )
-
-    return (
-        agg.map_batches(_name, batch_format="pyarrow")
-        .sort(["revenue_cents", "l_orderkey"], descending=[True, False])
-        .limit(k)
+    return top_k(
+        agg, [("revenue_cents", "descending"), ("l_orderkey", "ascending")], k
     )
 
 
@@ -335,14 +301,10 @@ def customer_order_counts(
                 ),
             }
         )
-        return t.group_by("c_custkey").aggregate([("n_orders", "sum")])
+        return t
 
-    agg = (
-        joined.map_batches(_partial, batch_format="pyarrow")
-        .groupby("c_custkey")
-        .sum("n_orders_sum")
-    )
-    return agg.map_batches(
-        lambda b: b.rename_columns(["c_custkey", "n_orders"]),
-        batch_format="pyarrow",
+    return combine_by_key(
+        joined.map_batches(_partial, batch_format="pyarrow"),
+        "c_custkey",
+        [("n_orders", "sum")],
     )

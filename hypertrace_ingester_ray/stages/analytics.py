@@ -34,6 +34,7 @@ from ray.data import Dataset
 
 from .grouping import (
     DEFAULT_NUM_PARTITIONS,
+    combine_by_key,
     group_apply,
     run_boundaries,
     segmented_sum,
@@ -446,7 +447,7 @@ def transition_counts(
     ONE hash exchange on ``key`` (each partition holds complete, key+order
     sorted groups); adjacent-pair extraction is a shifted-array mask (no row
     loop); each partition emits its LOCAL (from,to) count table, so the final
-    combine is a states²-sized groupby — tiny at any corpus size.
+    combine is states²-sized — tiny at any corpus size.
     Output: ``from_state, to_state, cnt`` (rows where a next state exists).
     """
     keys = [key] if isinstance(key, str) else list(key)
@@ -483,14 +484,7 @@ def transition_counts(
         sort_by=[order_col],
         num_partitions=num_partitions,
     )
-    return (
-        partials.groupby(["from_state", "to_state"])
-        .sum("cnt")
-        .map_batches(
-            lambda t: t.rename_columns(["from_state", "to_state", "cnt"]),
-            batch_format="pyarrow",
-        )
-    )
+    return combine_by_key(partials, ["from_state", "to_state"], [("cnt", "sum")])
 
 
 def sessionize(
@@ -1821,11 +1815,7 @@ def cooccurrence_counts(
     local = group_apply(
         uniq, key, _pairs, sort_by=[value_col], num_partitions=num_partitions
     )
-    agg = local.groupby([out_a, out_b]).sum("n_keys")
-    return agg.map_batches(
-        lambda t: t.rename_columns([out_a, out_b, "n_keys"]),
-        batch_format="pyarrow",
-    )
+    return combine_by_key(local, [out_a, out_b], [("n_keys", "sum")])
 
 
 def resample_gapfill(
@@ -2032,12 +2022,9 @@ def global_rank(
         g = t.group_by([col]).aggregate([([], "count_all")])
         return g.rename_columns([col, "cnt"])
 
-    hist = (
-        ds.map_batches(_partial, batch_format="pyarrow")
-        .groupby(col)
-        .sum("cnt")
-        .to_pandas()
-    )
+    hist = combine_by_key(
+        ds.map_batches(_partial, batch_format="pyarrow"), col, [("cnt", "sum")]
+    ).to_pandas()
     if len(hist) > max_distinct:
         raise ValueError(
             f"global_rank: {len(hist)} distinct values of {col!r} exceeds "
@@ -2059,7 +2046,7 @@ def global_rank(
             fields.append(pa.field(dense_col, pa.int64()))
         return _ray.data.from_arrow(pa.schema(fields).empty_table())
     hist = hist.sort_values(col, ascending=not descending).reset_index(drop=True)
-    cnt = hist["sum(cnt)"].to_numpy(dtype=np.int64)
+    cnt = hist["cnt"].to_numpy(dtype=np.int64)
     ranks = np.empty_like(cnt)
     ranks[0] = 1
     np.cumsum(cnt[:-1], out=ranks[1:])

@@ -7,7 +7,7 @@ operations a 100 TB LLM training-data pipeline runs before tokenization:
 - deterministic train/val/test **hash split** (embarrassingly parallel,
   reproducible across runs and cluster sizes),
 - **vocabulary build** (word-count top-k with in-batch combining before the
-  small ``groupby`` — the canonical partial-aggregation pattern),
+  small keyed combine — the canonical partial-aggregation pattern),
 - **pattern redaction** (PII-style regex scrub, RE2 both here and in the
   DuckDB oracles),
 - exact **length quantiles** via bounded per-value histogram merge (no
@@ -35,11 +35,13 @@ from ray.data import Dataset
 
 from ..functions.hashing import shingle_hashes
 from .grouping import (
+    combine_by_key,
     group_apply,
     run_boundaries,
     segment_ids_from_boundaries,
     segmented_broadcast_first,
     segmented_cumcount,
+    top_k,
 )
 
 # Knuth multiplicative hash constant; the split hash is
@@ -88,11 +90,11 @@ def vocab_top_k(ds: Dataset, *, text_col: str = "text", k: int = 100) -> Dataset
     """Corpus vocabulary: the ``k`` most frequent whitespace tokens.
 
     Scale shape: each batch collapses to its distinct (word, count) pairs
-    BEFORE the shuffle (``value_counts`` in-batch combiner), so the
-    ``groupby("word")`` exchange carries per-block vocabulary size — bounded
-    by the language's vocabulary, not the corpus — and the final sort+limit
-    runs over the global vocabulary only.  Ties break by word ascending so
-    the top-k cut is deterministic."""
+    BEFORE the exchange (``value_counts`` in-batch combiner), so the
+    word-keyed combine carries per-block vocabulary size — bounded by the
+    language's vocabulary, not the corpus — and the final top-k runs over
+    the global vocabulary only.  Ties break by word ascending so the top-k
+    cut is deterministic."""
 
     def _partial(batch: pa.Table) -> pa.Table:
         toks = pc.split_pattern(batch[text_col], " ")
@@ -106,11 +108,10 @@ def vocab_top_k(ds: Dataset, *, text_col: str = "text", k: int = 100) -> Dataset
             }
         )
 
-    agg = ds.map_batches(_partial, batch_format="pyarrow").groupby("word").sum("cnt")
-    agg = agg.map_batches(
-        lambda t: t.rename_columns(["word", "cnt"]), batch_format="pyarrow"
+    agg = combine_by_key(
+        ds.map_batches(_partial, batch_format="pyarrow"), "word", [("cnt", "sum")]
     )
-    return agg.sort(["cnt", "word"], descending=[True, False]).limit(k)
+    return top_k(agg, [("cnt", "descending"), ("word", "ascending")], k)
 
 
 def redact_batch(
@@ -148,7 +149,7 @@ def length_quantiles(
     pcts: Sequence[int] = (10, 20, 30, 40, 50, 60, 70, 80, 90),
 ) -> pa.Table:
     """Exact quantiles of an integer column without a global sort: per-block
-    ``value_counts`` → ``groupby(value).sum`` → driver-side cumulative walk
+    ``value_counts`` → ``combine_by_key(value, sum)`` → driver-side cumulative walk
     over the merged histogram.  Driver state is bounded by the number of
     DISTINCT values (document lengths), not rows — fine for any length-like
     column; for genuinely unbounded domains bin first.
@@ -170,14 +171,11 @@ def length_quantiles(
             }
         )
 
-    hist = (
-        ds.map_batches(_hist, batch_format="pyarrow")
-        .groupby("value")
-        .sum("cnt")
-        .take_all()  # bounded: one row per distinct value
-    )
+    hist = combine_by_key(
+        ds.map_batches(_hist, batch_format="pyarrow"), "value", [("cnt", "sum")]
+    ).take_all()  # bounded: one row per distinct value
     vals = np.array([r["value"] for r in hist], dtype=np.int64)
-    cnts = np.array([r["sum(cnt)"] for r in hist], dtype=np.int64)
+    cnts = np.array([r["cnt"] for r in hist], dtype=np.int64)
     order = np.argsort(vals)
     vals, cnts = vals[order], cnts[order]
     cum = np.cumsum(cnts)
@@ -479,7 +477,7 @@ def common_word_df(
     """Pass 1 of CCNet-style common-word removal: words present in at least
     ``permille``/1000 of documents.  Per batch, each doc contributes each of
     its DISTINCT words once (docs are single rows, so in-batch distinct
-    (doc, word) pairs are globally distinct); the groupby then carries
+    (doc, word) pairs are globally distinct); the combine then carries
     vocabulary-sized blocks, never corpus-sized.  The result set is small by
     Zipf — only words above a sizable document-frequency share — hence safe
     to collect and broadcast."""
@@ -500,13 +498,13 @@ def common_word_df(
         return pa.table({"word": enc.dictionary, "df": pa.array(cnt)})
 
     n_docs = ds.count()
-    agg = (
-        ds.map_batches(_partial, batch_format="pyarrow").groupby("word").sum("df")
+    agg = combine_by_key(
+        ds.map_batches(_partial, batch_format="pyarrow"), "word", [("df", "sum")]
     )
     hot = agg.map_batches(
         lambda t: t.filter(
             pc.greater_equal(
-                pc.multiply(t["sum(df)"].cast(pa.int64()), pa.scalar(1000)),
+                pc.multiply(t["df"].cast(pa.int64()), pa.scalar(1000)),
                 pa.scalar(int(n_docs) * permille),
             )
         ).select(["word"]),
@@ -615,8 +613,10 @@ def pack_sequences(
 
     # bucket-sized aggregate: sum of tokens per id-range bucket
     sums = {
-        r["bucket"]: r["sum(n_tokens)"]
-        for r in counted.groupby("bucket").sum("n_tokens").take_all()
+        r["bucket"]: r["n_tokens"]
+        for r in combine_by_key(
+            counted, "bucket", [("n_tokens", "sum")]
+        ).take_all()
     }
     base = {}
     acc = 0
@@ -721,7 +721,7 @@ def ngram_counts(
     ds: Dataset, *, text_col: str = "text", n: int = 2
 ) -> Dataset:
     """Full corpus n-gram count table (``ngram, cnt``): in-batch
-    ``value_counts`` combiner, one ``groupby`` exchange bounded by per-block
+    ``value_counts`` combiner, one keyed-combine exchange bounded by per-block
     n-gram vocabulary.  The n-gram build is vectorized: flat token array +
     offsets, adjacency mask that excludes cross-document pairs, one
     ``binary_join_element_wise`` — no Python loop."""
@@ -757,9 +757,8 @@ def ngram_counts(
             }
         )
 
-    agg = ds.map_batches(_partial, batch_format="pyarrow").groupby("ngram").sum("cnt")
-    return agg.map_batches(
-        lambda t: t.rename_columns(["ngram", "cnt"]), batch_format="pyarrow"
+    return combine_by_key(
+        ds.map_batches(_partial, batch_format="pyarrow"), "ngram", [("cnt", "sum")]
     )
 
 
@@ -767,11 +766,11 @@ def ngram_top_k(
     ds: Dataset, *, text_col: str = "text", n: int = 2, k: int = 100
 ) -> Dataset:
     """Corpus top-k word n-grams (language-model count tables): the full
-    :func:`ngram_counts` table cut to ``k`` by one sort+limit over the
+    :func:`ngram_counts` table cut to ``k`` by one :func:`top_k` over the
     global n-gram vocabulary only.  Ties break by n-gram ascending
     (deterministic cut)."""
     agg = ngram_counts(ds, text_col=text_col, n=n)
-    return agg.sort(["cnt", "ngram"], descending=[True, False]).limit(k)
+    return top_k(agg, [("cnt", "descending"), ("ngram", "ascending")], k)
 
 
 def quota_sample(
@@ -954,11 +953,11 @@ def weighted_sample(
     cluster sizes and shard layouts, and bit-exact against a SQL
     ``row_number() ... LIMIT k`` mirror.
 
-    Scale shape: each batch keeps only its local top-k before the global
-    sort-limit, so the sort input is ``k × num_blocks`` rows, not the
-    corpus.  Weights are non-negative int64 (raises loudly otherwise); a
-    zero-weight row has no priority (SQL's ``x // 0`` is NULL, sorted
-    last), so it ranks after every positive-weight row, ties by id."""
+    Scale shape: :func:`top_k` keeps each block's local top-k, so the
+    driver sorts ``k × num_blocks`` rows, not the corpus.  Weights are
+    non-negative int64 (raises loudly otherwise); a zero-weight row has no
+    priority (SQL's ``x // 0`` is NULL, sorted last), so it ranks after
+    every positive-weight row, ties by id."""
 
     def _local(batch: pa.Table) -> pa.Table:
         if batch[weight_col].null_count:  # no weight → no draw priority
@@ -973,20 +972,14 @@ def weighted_sample(
         pri = np.full(len(w), np.iinfo(np.int64).max)
         pos = w > 0
         pri[pos] = ticket[pos] * pri_scale // w[pos]
-        batch = batch.append_column("_pri", pa.array(pri))
-        if batch.num_rows > k:
-            # tie-break by id like the global sort: argpartition on pri
-            # alone could locally drop a (pri-tied, smaller-id) row the
-            # global ORDER BY (pri, id) LIMIT k keeps, diverging from the
-            # SQL mirror whenever ties straddle the per-block k boundary
-            keep = np.lexsort((ids, pri))[:k]
-            batch = batch.take(pa.array(np.sort(keep)))
-        return batch
+        return batch.append_column("_pri", pa.array(pri))
 
-    out = (
-        ds.map_batches(_local, batch_format="pyarrow")
-        .sort(["_pri", id_col])
-        .limit(k)
+    # tie-break by id in every block too: a cut on pri alone could drop a
+    # (pri-tied, smaller-id) row the global ORDER BY (pri, id) LIMIT k keeps
+    out = top_k(
+        ds.map_batches(_local, batch_format="pyarrow"),
+        [("_pri", "ascending"), (id_col, "ascending")],
+        k,
     )
     return out.map_batches(
         lambda t: t.drop_columns(["_pri"]), batch_format="pyarrow"

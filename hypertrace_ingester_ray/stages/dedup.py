@@ -37,7 +37,7 @@ import pyarrow.compute as pc
 from ray.data import Dataset
 
 from ..functions.hashing import popcount64, shingle_hashes
-from .grouping import group_apply, run_boundaries
+from .grouping import combine_by_key, group_apply, run_boundaries
 from .similarity import _to_matrix, _valid_vec_rows
 
 # ---------------------------------------------------------------------------
@@ -699,7 +699,7 @@ def connected_components(
     legitimate use of materialize(): it IS the iteration state, exactly like
     a Pregel superstep).  Each round is one distributed hash join (edges ⋈
     labels on the source endpoint: every edge ships its endpoint's current
-    label to the other endpoint) plus one groupby-min; convergence is
+    label to the other endpoint) plus one keyed min combine; convergence is
     detected by the monotonically decreasing global label sum, so the
     driver holds two scalars, never data.
 
@@ -726,14 +726,16 @@ def connected_components(
 
     edges = pairs.map_batches(_sym, batch_format="pyarrow").materialize()
 
-    # initial labels: each endpoint labels itself (dedup via groupby-min,
-    # which also serves as round 0's combine)
+    # initial labels: each endpoint labels itself (dedup via the min
+    # combine, which also serves as round 0's combine)
     def _self_label(batch: pa.Table) -> pa.Table:
         return pa.table({"node": batch["u"], "label": batch["u"]})
 
-    labels = _min_combine(
-        edges.map_batches(_self_label, batch_format="pyarrow"), num_partitions
-    ).materialize()
+    labels = combine_by_key(
+        edges.map_batches(_self_label, batch_format="pyarrow"),
+        "node",
+        [("label", "min")],
+    )
     prev_sum = labels.sum("label") or 0
 
     for _ in range(max_iters):
@@ -748,7 +750,7 @@ def connected_components(
             lambda t: pa.table({"node": t["v"], "label": t["label"]}),
             batch_format="pyarrow",
         )
-        labels_new = _min_combine(msgs.union(labels), num_partitions).materialize()
+        labels_new = combine_by_key(msgs.union(labels), "node", [("label", "min")])
         new_sum = labels_new.sum("label") or 0
         labels = labels_new
         if new_sum == prev_sum:  # min-labels can only decrease; fixed point
@@ -761,24 +763,6 @@ def connected_components(
         f"connected_components did not converge in {max_iters} rounds "
         "(graph diameter exceeds max_iters); raise max_iters or switch to "
         "star-contraction"
-    )
-
-
-def _min_combine(labels: Dataset, num_partitions: int) -> Dataset:
-    """groupby(node).min(label) with a per-batch partial combine first, so
-    the shuffle moves one row per distinct node per block, not per message."""
-
-    def _partial(batch: pa.Table) -> pa.Table:
-        return (
-            batch.group_by(["node"]).aggregate([("label", "min")])
-            .rename_columns(["node", "label"])
-        )
-
-    return group_apply(
-        labels.map_batches(_partial, batch_format="pyarrow"),
-        "node",
-        _partial,
-        num_partitions=num_partitions,
     )
 
 
@@ -950,13 +934,8 @@ def allpairs_jaccard_pairs(
         agg = t.select(["tok"]).group_by(["tok"]).aggregate([([], "count_all")])
         return agg.rename_columns(["tok", "df"])
 
-    df = (
-        rows.map_batches(_partial_df, batch_format="pyarrow")
-        .groupby("tok")
-        .sum("df")
-        .map_batches(
-            lambda t: t.rename_columns(["tok", "df"]), batch_format="pyarrow"
-        )
+    df = combine_by_key(
+        rows.map_batches(_partial_df, batch_format="pyarrow"), "tok", [("df", "sum")]
     )
 
     attached = cogroup_join(rows, df, on=["tok"], num_partitions=num_partitions)

@@ -19,8 +19,11 @@ complete conversations, is sorted once, and every group in it is processed
 with vectorized numpy segment operations (run-length boundaries).  Python
 overhead is O(partitions), not O(groups), while the shuffle volume is
 identical.  The same exchange, with the same reduce batches, carries
-``group_apply_batches`` (the flagship) and the two-input ``cogroup`` that
-every co-shuffle join builds on; slices travel as plain Arrow tables.
+``group_apply_batches`` (the flagship), the two-input ``cogroup`` that
+every co-shuffle join builds on, and ``combine_by_key``, the keyed sum/min
+behind every aggregate; slices travel as plain Arrow tables.  Global
+``ORDER BY ... LIMIT k`` is ``top_k`` (per-block top k, driver merge), so
+nothing in the engine runs Ray Data's sort-shuffle ``groupby`` or ``sort``.
 
 Skew handling, two complementary mechanisms:
 - order/graph-scoped computations (enricher DAG, episode graphs) cannot be
@@ -168,13 +171,13 @@ def hot_key_counts(
 ) -> Dict[str, int]:
     """Pre-count pass: keys whose row count exceeds ``threshold``.
 
-    Only the key column leaves the scan, and the count is combined per
-    batch before the global groupby — cheap when keys REPEAT within
-    batches (conversations: many turns per conv).  This is the 'pre-count
+    Only the key column leaves the scan, and :func:`combine_by_key` counts
+    per batch before its exchange — cheap when keys REPEAT within batches
+    (conversations: many turns per conv).  This is the 'pre-count
     group sizes' step of skew-aware salting (SURVEY.md §4).
 
     For near-unique keys (join keys), per-batch combining compresses
-    nothing and the pre-count groupby would shuffle ~every row.  Pass
+    nothing and the pre-count exchange would carry ~every row.  Pass
     ``sample_rate`` R > 1 to count a deterministic 1-in-R row sample
     instead: the exchange shrinks R×, and a key with ≥ ``threshold`` rows
     is detected from ~threshold/R sampled hits (the detection cutoff is
@@ -196,35 +199,16 @@ def hot_key_counts(
                 f"{t.num_rows}:{t[key][0].as_py()}".encode()
             ) % sample_rate
             t = t.take(pa.array(np.arange(phase, t.num_rows, sample_rate)))
-        return (
-            t.group_by([key])
-            .aggregate([([], "count_all")])
-            .rename_columns([key, "n"])
-        )
+        return t.append_column("n", pa.array(np.ones(t.num_rows, np.int64)))
 
-    # The global count-sum rides group_apply's direct hash exchange, not a
-    # Ray Data sort-based groupby: the histogram is one narrow (key, n)
-    # column pair, and at bench scale the sort-groupby's fixed costs
-    # (sample, sort, reduce scheduling) were ~the cost of the join being
-    # protected (BASELINE.md round-4 audit).
-    # Filter DISTRIBUTED, inside the reduce: at 10^12 turns the per-key
+    # Filter DISTRIBUTED, after the combine: at 10^12 turns the per-key
     # histogram has billions of rows, but the hot set (keys above
     # threshold) is tiny by definition — only it may be materialized.
     cutoff = threshold if sample_rate == 1 else max(1, threshold // (2 * sample_rate))
-
-    def _reduce(part: pa.Table) -> pa.Table:
-        g = (
-            part.group_by([key])
-            .aggregate([("n", "sum")])
-            .rename_columns([key, "n"])
-        )
-        return g.filter(pc.greater(g["n"], cutoff))
-
-    hot_only = group_apply(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        key,
-        _reduce,
-        num_partitions=32,
+    hot_only = combine_by_key(
+        ds.map_batches(partial, batch_format="pyarrow"), key, [("n", "sum")]
+    ).map_batches(
+        lambda t: t.filter(pc.greater(t["n"], cutoff)), batch_format="pyarrow"
     )
     return {
         row[key]: int(row["n"]) * sample_rate for row in hot_only.take_all()
@@ -305,24 +289,34 @@ def salted_group_apply(
 # direct two-stage hash exchange
 # ---------------------------------------------------------------------------
 
-def _shuffle_map_fn(block, keys, num_partitions, identity=False):
+def _arrow_block(block) -> pa.Table:
+    """A Ray Data block as a ``pa.Table`` (pandas blocks are converted)."""
+    if isinstance(block, pa.Table):
+        return block
+    from ray.data.block import BlockAccessor
+
+    return BlockAccessor.for_block(block).to_arrow()
+
+
+def _shuffle_map_fn(block, keys, num_partitions, identity=False, combine=None):
     """Map side of the direct exchange: split one input block into
     ``num_partitions`` key-complete slices (+ a per-partition row-count
     vector the driver uses to skip empty partitions without fetching data).
+    ``combine``, if given, first reduces the block to one row per key
+    (:func:`combine_by_key`'s map-side aggregate).
 
     Slices are zero-copy views; Ray's Arrow serialization trims them to
     logical bounds on transfer (verified: a 50-row slice of an 11 MB table
     pickles to ~6 KB), so object-store volume equals data volume."""
-    if not isinstance(block, pa.Table):  # pandas / other block formats
-        from ray.data.block import BlockAccessor
-
-        block = BlockAccessor.for_block(block).to_arrow()
+    block = _arrow_block(block)
     if block.num_rows == 0:
         # joins/filters can emit zero-row blocks with an EMPTY schema —
         # hashing the key columns would KeyError; they contribute nothing
         return tuple([None] * num_partitions) + (
             np.zeros(num_partitions, dtype=np.int64),
         )
+    if combine is not None:
+        block = combine(block)
     if identity:
         # keys[0] already holds the partition id (range partitioning etc.)
         ids = pc.cast(block[keys[0]], pa.int32())
@@ -443,7 +437,7 @@ def _apply_per_partition(fn, pass_part_id, parts):
 
 
 def _direct_exchange(inputs, keys, batch_fn, *, orders, num_partitions,
-                     schemas=None, identity=False,
+                     schemas=None, identity=False, combine=None,
                      per_partition_returns=False):
     """Two-stage raw-task hash exchange, bypassing the sort-shuffle machinery.
 
@@ -461,7 +455,8 @@ def _direct_exchange(inputs, keys, batch_fn, *, orders, num_partitions,
     is input ``s``'s sort key and ``schemas[s]`` (optional) the typed empty
     table it takes in a partition where it has no rows.  Every input is
     mapped with the same hash, so a key lands on the same partition id on
-    every side.
+    every side.  ``combine`` runs on each block in its map task, before
+    the split (see :func:`_shuffle_map_fn`).
 
     Fan-out: the exchange makes map tasks × non-empty partitions objects
     and has no partition ceiling.  On one node (1 CPU) it beat Ray Data's
@@ -496,7 +491,7 @@ def _direct_exchange(inputs, keys, batch_fn, *, orders, num_partitions,
 
     map_refs = [
         [
-            map_remote.remote(block_ref, keys, num_partitions, identity)
+            map_remote.remote(block_ref, keys, num_partitions, identity, combine)
             for bundle in ds.iter_internal_ref_bundles()
             for block_ref in bundle.block_refs
         ]
@@ -595,6 +590,127 @@ def group_apply(
 
 
 # ---------------------------------------------------------------------------
+# keyed aggregates and global top-k on the direct exchange
+# ---------------------------------------------------------------------------
+
+#: Hash partitions of :func:`combine_by_key`'s exchange.  Its input is one
+#: pre-combined table per block, so reduce batching (not this number) sets
+#: how many merge tasks run.
+COMBINE_PARTITIONS = 16
+
+
+def _arrow_schema(sch) -> pa.Schema:
+    """``Dataset.schema()`` as a ``pa.Schema``.  Pandas-block datasets
+    report numpy dtypes; object dtype has no Arrow equivalent — pandas
+    object columns are strings by convention, and an EMPTY typed table only
+    needs a best-effort type anyway."""
+    base = getattr(sch, "base_schema", sch)
+    if isinstance(base, pa.Schema):
+        return base
+
+    def _to_pa(t):
+        if isinstance(t, pa.DataType):
+            return t
+        t = np.dtype(t)
+        return pa.string() if t == np.dtype(object) else pa.from_numpy_dtype(t)
+
+    return pa.schema(
+        [pa.field(n, _to_pa(t)) for n, t in zip(base.names, base.types)]
+    )
+
+
+def _combine(keys, aggs, t: pa.Table) -> pa.Table:
+    """One pyarrow hash aggregate of ``t`` per key; every output column
+    keeps its input name."""
+    g = t.group_by(keys, use_threads=False).aggregate(aggs)
+    cols = {k: g[k] for k in keys}
+    cols.update({c: g[f"{c}_{op}"] for c, op in aggs})
+    return pa.table(cols)
+
+
+def _combine_parts(combine, parts) -> pa.Table:
+    """Reduce side of :func:`combine_by_key`: one merge over every
+    partition of the batch (the partitions hold disjoint keys)."""
+    tables = [t for _, t in parts]
+    return combine(pa.concat_tables(tables, promote_options="default"))
+
+
+def combine_by_key(
+    ds: Dataset, keys: Union[str, Sequence[str]], aggs: Sequence[tuple]
+) -> Dataset:
+    """Keyed sum/min aggregate: ``aggs`` is ``[(col, "sum" | "min"), ...]``
+    and the result has one row per distinct key with each ``col`` under its
+    own name.  A NULL key is a group of its own, as in SQL ``GROUP BY``.
+
+    Each block is combined by one pyarrow hash aggregate in its exchange
+    map task, so the exchange carries at most one row per key per block;
+    the partials meet in :func:`_direct_exchange` reduce batches, where one
+    more hash aggregate merges them (build the table once per block, merge
+    small tables).  Both aggregates are associative, so the result does not
+    depend on the block layout.  Row order is not defined: sort where order
+    matters.  An input with a schema but no rows gives a typed empty
+    result; without a schema, an untyped one."""
+    import ray.data as _rd
+
+    keys = [keys] if isinstance(keys, str) else list(keys)
+    aggs = list(aggs)
+    combine = partial(_combine, keys, aggs)
+    refs, _ = _direct_exchange(
+        [ds],
+        keys,
+        partial(_combine_parts, combine),
+        orders=[[]],
+        num_partitions=COMBINE_PARTITIONS,
+        combine=combine,
+    )
+    if refs:
+        return _rd.from_arrow_refs(refs)
+    # only the zero-row path pays for the schema (it may execute ``ds`` again)
+    sch = ds.schema()
+    if sch is None or not set(keys) | {c for c, _ in aggs} <= set(sch.names):
+        return _rd.from_arrow([])
+    return _rd.from_arrow(combine(_arrow_schema(sch).empty_table()))
+
+
+def _top_rows(sort_keys, k, block) -> pa.Table:
+    """The first ``k`` rows of ``block`` under ``sort_keys``, unordered."""
+    t = _arrow_block(block)
+    if t.num_rows <= k:
+        return t
+    return t.take(pc.select_k_unstable(t, k, sort_keys))
+
+
+def top_k(ds: Dataset, sort_keys: Sequence[tuple], k: int) -> Dataset:
+    """The first ``k`` rows of ``ds`` under ``sort_keys`` (pyarrow form,
+    ``[(col, "ascending" | "descending"), ...]``), in that order — the
+    ``ORDER BY ... LIMIT k`` of SQL without a global sort.  Each block keeps
+    its own top ``k`` in a task of its own (plain tasks, like the exchange's
+    map side); the driver concatenates those (``k`` × blocks rows), sorts
+    and slices.  Nulls sort last in either direction.  The keys should end
+    in a unique column, so ties cannot make the cut depend on the block
+    layout."""
+    import ray
+    import ray.data as _rd
+
+    top_remote = ray.remote(_top_rows)
+    blocks = ray.get(
+        [
+            top_remote.remote(sort_keys, k, block_ref)
+            for bundle in ds.iter_internal_ref_bundles()
+            for block_ref in bundle.block_refs
+        ]
+    )
+    blocks = [t for t in blocks if t.num_rows]
+    if not blocks:
+        sch = ds.schema()
+        return _rd.from_arrow(
+            _arrow_schema(sch).empty_table() if sch is not None else []
+        )
+    t = pa.concat_tables(blocks, promote_options="default")
+    return _rd.from_arrow(_top_rows(sort_keys, k, t).sort_by(sort_keys))
+
+
+# ---------------------------------------------------------------------------
 # conversation assembly (G1-G3 analog), fully vectorized
 # ---------------------------------------------------------------------------
 
@@ -671,68 +787,6 @@ def assemble_conversations(
 
 
 # ---------------------------------------------------------------------------
-# null-safe native groupby: Ray Data's sort-based shuffle groupby crashes on
-# null keys (numpy searchsorted can't order None vs str inside
-# sort_and_partition).  SQL GROUP BY keeps the NULL group, so dropping rows
-# is wrong — instead fill each key with an improbable typed sentinel before
-# the native groupby and restore nulls after.
-# ---------------------------------------------------------------------------
-
-_NULL_STR_SENTINEL = "\x00\x00<null>"
-_NULL_INT_SENTINEL = -(2**62) - 777
-
-
-def _key_sentinel(t: pa.DataType):
-    """Typed null-group sentinel, or None when the type has no sentinel.
-
-    Returning None (rather than raising) means fill/restore become no-ops
-    for key types beyond int/string/timestamp (date32, decimal, ...): a
-    non-null groupby on such a key keeps working; a NULL-keyed one falls
-    through to Ray's native behavior.  Collision caveat: a genuine key
-    value exactly equal to the sentinel ("\\x00\\x00<null>" / -(2**62)-777)
-    would be restored to NULL — both values sit far outside any realistic
-    tenant/trace/doc key domain, which is the documented assumption at
-    every call site (hopping windows, salted rollups, native groupbys).
-    """
-    if pa.types.is_integer(t):
-        return pa.scalar(_NULL_INT_SENTINEL, t)
-    if pa.types.is_string(t) or pa.types.is_large_string(t):
-        return pa.scalar(_NULL_STR_SENTINEL, t)
-    if pa.types.is_timestamp(t):
-        return pa.scalar(_NULL_INT_SENTINEL, pa.int64()).cast(t)
-    return None
-
-
-def fill_null_keys(batch: pa.Table, keys) -> pa.Table:
-    """Replace nulls in key columns with typed sentinels (pre-groupby)."""
-    for k in [keys] if isinstance(keys, str) else keys:
-        col = batch[k]
-        if col.null_count:
-            sent = _key_sentinel(col.type)
-            if sent is None:
-                continue  # unsupported key type: pass through unchanged
-            i = batch.schema.get_field_index(k)
-            batch = batch.set_column(i, k, pc.fill_null(col, sent))
-    return batch
-
-
-def restore_null_keys(batch: pa.Table, keys) -> pa.Table:
-    """Turn key sentinels back into nulls (post-groupby)."""
-    for k in [keys] if isinstance(keys, str) else keys:
-        col = batch[k]
-        sent = _key_sentinel(col.type)
-        if sent is None:
-            continue  # unsupported key type: nothing was filled
-        mask = pc.equal(col, sent)
-        if pc.any(mask).as_py():
-            i = batch.schema.get_field_index(k)
-            batch = batch.set_column(
-                i, k, pc.if_else(mask, pa.scalar(None, col.type), col)
-            )
-    return batch
-
-
-# ---------------------------------------------------------------------------
 # cogroup: two datasets co-partitioned by one key, processed pairwise
 # ---------------------------------------------------------------------------
 
@@ -781,27 +835,9 @@ def cogroup(
     order_l = keys + list(left_sort or [])
     order_r = keys + list(right_sort or [])
 
-    def _as_arrow_schema(sch) -> pa.Schema:
-        base = getattr(sch, "base_schema", sch)
-        if isinstance(base, pa.Schema):
-            return base
-        # pandas-block datasets report a PandasBlockSchema (numpy dtypes);
-        # object dtype has no Arrow equivalent — pandas object columns are
-        # strings by convention, and an EMPTY typed table only needs a
-        # best-effort type anyway
-        def _to_pa(t):
-            if isinstance(t, pa.DataType):
-                return t
-            t = np.dtype(t)
-            return pa.string() if t == np.dtype(object) else pa.from_numpy_dtype(t)
-
-        return pa.schema(
-            [pa.field(n, _to_pa(t)) for n, t in zip(base.names, base.types)]
-        )
-
     raw_l, raw_r = left.schema(), right.schema()
-    schema_l = _as_arrow_schema(raw_l) if raw_l is not None else left_schema
-    schema_r = _as_arrow_schema(raw_r) if raw_r is not None else right_schema
+    schema_l = _arrow_schema(raw_l) if raw_l is not None else left_schema
+    schema_r = _arrow_schema(raw_r) if raw_r is not None else right_schema
     if schema_l is None and schema_r is None:
         return _rd.from_arrow([])  # both certainly empty, nothing typed left
     if schema_l is None or schema_r is None:

@@ -8,9 +8,9 @@ emitting OTLP gauges after a wait punctuator
 MetricEmitPunctuator.java:57-115).
 
 Batch translation: a two-level aggregation — a *partial* per-batch Arrow
-group-by inside ``map_batches`` (the combiner, so the shuffle moves one row
+group-by inside ``map_batches`` (the combiner, so the exchange moves one row
 per (window, dims) per batch instead of one per turn), then the small global
-``ds.groupby(dims).sum()``.
+``combine_by_key(partial, dims, [("num_calls", "sum")])``.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import pyarrow.compute as pc
 
 from ray.data import Dataset
 
-from .grouping import fill_null_keys, restore_null_keys
+from .grouping import combine_by_key
 
 METRIC_DIMS: List[str] = ["window_ts", "tenant_id", "service_name", "api_status"]
 
@@ -112,24 +112,7 @@ def windowed_metrics(per_turn: Dataset, window: str = "minute") -> Dataset:
     partial = per_turn.map_batches(
         partial_counts, batch_format="pyarrow", fn_kwargs={"window": window}
     )
-    # shuffle on int64 micros, not timestamp: Ray's sort-shuffle boundary
-    # sampling round-trips timestamp keys through numpy datetimes (precision
-    # warnings, slower compares)
-    partial = partial.map_batches(
-        lambda b: b.set_column(
-            0, "window_ts", pc.cast(b["window_ts"], pa.int64())
-        ),
-        batch_format="pyarrow",
-    )
-    agg = partial.groupby(METRIC_DIMS).sum("num_calls")
-
-    def _rename(b: pa.Table) -> pa.Table:
-        b = b.rename_columns(METRIC_DIMS + ["num_calls"])
-        return b.set_column(
-            0, "window_ts", pc.cast(b["window_ts"], pa.timestamp("us"))
-        )
-
-    return agg.map_batches(_rename, batch_format="pyarrow")
+    return combine_by_key(partial, METRIC_DIMS, [("num_calls", "sum")])
 
 
 def hopping_window_counts(
@@ -147,13 +130,13 @@ def hopping_window_counts(
     Same partial-aggregation shape as the tumbling-window metrics (A1): the
     window explosion AND the per-batch combine happen inside ``map_batches``
     — only (window_start, dims, partial_count) rows reach the tiny global
-    groupby, so the shuffle volume is bounded by distinct windows x dims, not
+    combine, so the shuffle volume is bounded by distinct windows x dims, not
     by input rows x hops.
     """
     if window_us % hop_us:
         raise ValueError("window_us must be a multiple of hop_us")
     n_hops = window_us // hop_us
-    out_cols = ["window_start"] + list(dims) + ["num_events"]
+    keys = ["window_start"] + list(dims)
 
     def explode_partial(batch: pa.Table) -> pa.Table:
         if batch[ts_col].null_count:  # a row without a time has no window
@@ -169,31 +152,17 @@ def hopping_window_counts(
             - (np.arange(n_hops, dtype=np.int64) * hop_us)[None, :]
         ).reshape(-1)
         rep = pa.array(np.repeat(np.arange(n, dtype=np.int64), n_hops))
-        # window_start stays int64 through the shuffle (timestamp restored
-        # in the final rename — avoids Ray's datetime boundary sampling)
         t = pa.table(
             {
-                "window_start": pa.array(starts),
+                "window_start": pa.array(starts).cast(pa.timestamp("us")),
                 **{d: batch[d].take(rep) for d in dims},
             }
         )
-        out = t.group_by(["window_start"] + list(dims)).aggregate(
-            [([], "count_all")]
-        )
-        out = out.rename_columns(["window_start"] + list(dims) + ["num_events"])
-        # Ray's sort-shuffle groupby can't order null dim keys
-        return fill_null_keys(out, dims)
+        out = t.group_by(keys).aggregate([([], "count_all")])
+        return out.rename_columns(keys + ["num_events"])
 
     partial = ds.map_batches(explode_partial, batch_format="pyarrow")
-    agg = partial.groupby(["window_start"] + list(dims)).sum("num_events")
-
-    def _final(b: pa.Table) -> pa.Table:
-        b = restore_null_keys(b.rename_columns(out_cols), dims)
-        return b.set_column(
-            0, "window_start", pc.cast(b["window_start"], pa.timestamp("us"))
-        )
-
-    return agg.map_batches(_final, batch_format="pyarrow")
+    return combine_by_key(partial, keys, [("num_events", "sum")])
 
 
 def hopping_window_distinct(

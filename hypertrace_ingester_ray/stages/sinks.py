@@ -28,7 +28,7 @@ import pyarrow as pa
 from ray.data import Dataset
 
 from ..state import lineage
-from .grouping import DEFAULT_NUM_PARTITIONS, group_apply
+from .grouping import DEFAULT_NUM_PARTITIONS, combine_by_key, group_apply
 
 _STATS_SCHEMA = pa.schema(
     [
@@ -250,14 +250,15 @@ def write_range_partitioned(
         )
 
     hist = (
-        ds.select_columns([col])
-        .map_batches(_hist, batch_format="pyarrow")
-        .groupby("bin")
-        .sum("cnt")
+        combine_by_key(
+            ds.select_columns([col]).map_batches(_hist, batch_format="pyarrow"),
+            "bin",
+            [("cnt", "sum")],
+        )
         .to_pandas()
         .sort_values("bin")
     )
-    cum = hist["sum(cnt)"].cumsum().to_numpy()
+    cum = hist["cnt"].cumsum().to_numpy()
     total = int(cum[-1])
     targets = (np.arange(1, num_partitions) * total) // num_partitions
     cut_bins = hist["bin"].to_numpy()[np.searchsorted(cum, targets, side="left").clip(0, len(hist) - 1)]

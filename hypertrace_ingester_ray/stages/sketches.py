@@ -39,9 +39,11 @@ from ray.data import Dataset
 
 from .grouping import (
     DEFAULT_NUM_PARTITIONS,
+    combine_by_key,
     group_apply,
     run_boundaries,
     segment_ids_from_boundaries,
+    top_k,
 )
 
 __all__ = [
@@ -324,16 +326,12 @@ def heavy_hitters(
             {value_col: vals, "cnt": pa.array(cnts), "n_rows": pa.array(nr)}
         )
 
-    merged = (
-        ds.map_batches(_mg_partial, batch_format="pyarrow")
-        .groupby(value_col)
-        .sum(["cnt", "n_rows"])
+    merged = combine_by_key(
+        ds.map_batches(_mg_partial, batch_format="pyarrow"),
+        value_col,
+        [("cnt", "sum"), ("n_rows", "sum")],
     )
-    mparts = [
-        t.select([value_col, "sum(cnt)", "sum(n_rows)"])
-        for t in ray.get(merged.to_arrow_refs())
-        if t.num_rows
-    ]
+    mparts = [t for t in ray.get(merged.to_arrow_refs()) if t.num_rows]
     if not mparts:  # certainly-empty corpus: no candidates, nothing to count
         # empty-result typing precedence: caller's value_type, then the
         # dataset's recoverable schema, then string.  Without value_type a
@@ -354,13 +352,13 @@ def heavy_hitters(
             )
         )
     mt = pa.concat_tables(mparts)
-    total_n = int(pc.sum(mt["sum(n_rows)"]).as_py() or 0)
+    total_n = int(pc.sum(mt["n_rows"]).as_py() or 0)
     if threshold * k <= total_n:
         raise ValueError(
             f"threshold={threshold} <= N/k = {total_n}/{k}; "
             "increase k for an exact heavy-hitter guarantee"
         )
-    cnts = mt["sum(cnt)"].to_numpy(zero_copy_only=False).astype(np.int64)
+    cnts = mt["cnt"].to_numpy(zero_copy_only=False).astype(np.int64)
     vals = mt[value_col].combine_chunks()
     if len(cnts) > k:  # final MG compress to k candidates
         order = np.argsort(-cnts, kind="stable")
@@ -383,17 +381,15 @@ def heavy_hitters(
             }
         )
 
-    exact = (
-        ds.map_batches(_exact, batch_format="pyarrow")
-        .groupby(value_col)
-        .sum(out_count_col)
+    exact = combine_by_key(
+        ds.map_batches(_exact, batch_format="pyarrow"),
+        value_col,
+        [(out_count_col, "sum")],
     )
-
-    def _fin(t: pa.Table) -> pa.Table:
-        t = t.rename_columns([value_col, out_count_col])
-        return t.filter(pc.greater_equal(t[out_count_col], threshold))
-
-    return exact.map_batches(_fin, batch_format="pyarrow")
+    return exact.map_batches(
+        lambda t: t.filter(pc.greater_equal(t[out_count_col], threshold)),
+        batch_format="pyarrow",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -430,14 +426,11 @@ def binned_quantiles(
             {"bin": pa.array(ub), "cnt": pa.array(cnts.astype(np.int64))}
         )
 
-    hist = (
-        ds.map_batches(_hist, batch_format="pyarrow")
-        .groupby("bin")
-        .sum("cnt")
-        .take_all()  # bounded: one row per occupied bin
-    )
+    hist = combine_by_key(
+        ds.map_batches(_hist, batch_format="pyarrow"), "bin", [("cnt", "sum")]
+    ).take_all()  # bounded: one row per occupied bin
     bins = np.array([r["bin"] for r in hist], dtype=np.int64)
-    cnts = np.array([r["sum(cnt)"] for r in hist], dtype=np.int64)
+    cnts = np.array([r["cnt"] for r in hist], dtype=np.int64)
     order = np.argsort(bins)
     bins, cnts = bins[order], cnts[order]
     cum = np.cumsum(cnts)
@@ -475,7 +468,7 @@ def cms_counts(
 
     Per batch: one fused ``bincount`` over the flattened (row, cell) index;
     only NONZERO cells ship (Zipf inputs touch a fraction of the sketch).
-    The global merge is a cell-keyed groupby-sum (≤ depth·width rows);
+    The global merge is a cell-keyed combine (≤ depth·width rows);
     estimates resolve on the driver (terms-sized).  Returns a
     ``pa.Table`` (term:string, approx_cnt:int64), ordered as ``terms``.
     """
@@ -508,15 +501,12 @@ def cms_counts(
             {"cell": pa.array(nz.astype(np.int64)), "cnt": pa.array(cnt[nz])}
         )
 
-    rows = (
-        ds.map_batches(_partial, batch_format="pyarrow")
-        .groupby("cell")
-        .sum("cnt")
-        .take_all()
-    )  # bounded by depth*width cells
+    rows = combine_by_key(
+        ds.map_batches(_partial, batch_format="pyarrow"), "cell", [("cnt", "sum")]
+    ).take_all()  # bounded by depth*width cells
     sketch = np.zeros(depth * width, dtype=np.int64)
     for r in rows:
-        sketch[r["cell"]] = r["sum(cnt)"]
+        sketch[r["cell"]] = r["cnt"]
 
     term_arr = pa.array(list(terms))
     th = _cells(_hash64(term_arr))  # (depth, n_terms)
@@ -620,12 +610,12 @@ def sampled_quantiles(
     of the sorted sample — the same integer convention as
     :func:`binned_quantiles` / ``corpus.length_quantiles``.
 
-    Scale shape: each block keeps only its local bottom-k before the
-    global ``sort.limit(k)``, so the sort input is ``k × num_blocks`` rows
-    and the only driver materialization is the ≤ ``k``-row sample itself
-    (bounded by construction).  Merging two corpora = union then bottom-k
-    again — the sketch is mergeable with no loss.  ``id_col`` must be
-    non-negative int64 (same ticket contract as ``corpus.weighted_sample``).
+    Scale shape: :func:`~.grouping.top_k` keeps each block's local
+    bottom-k, so the driver sorts ``k × num_blocks`` rows and keeps the
+    ≤ ``k``-row sample (bounded by construction).  Merging two corpora =
+    union then bottom-k again — the sketch is mergeable with no loss.
+    ``id_col`` must be non-negative int64 (same ticket contract as
+    ``corpus.weighted_sample``).
     """
     from .corpus import _MOD32, _SAMPLE_K
 
@@ -635,20 +625,13 @@ def sampled_quantiles(
         )
         ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.uint64)
         ticket = ((ids * _SAMPLE_K) % _MOD32).astype(np.int64)
-        batch = batch.append_column("_ticket", pa.array(ticket))
-        if batch.num_rows > k:
-            keep = np.lexsort(
-                (batch[id_col].to_numpy(zero_copy_only=False), ticket)
-            )[:k]
-            batch = batch.take(pa.array(np.sort(keep)))
-        return batch
+        return batch.append_column("_ticket", pa.array(ticket))
 
-    sample_rows = (
-        ds.map_batches(_local, batch_format="pyarrow")
-        .sort(["_ticket", id_col])
-        .limit(k)
-        .take_all()  # bounded: <= k rows by construction
-    )
+    sample_rows = top_k(
+        ds.map_batches(_local, batch_format="pyarrow"),
+        [("_ticket", "ascending"), (id_col, "ascending")],
+        k,
+    ).take_all()  # bounded: <= k rows by construction
     vals = np.sort(np.array([r[value_col] for r in sample_rows], np.float64))
     n = len(vals)
     out_p, out_v = [], []

@@ -15,7 +15,7 @@ import pyarrow.compute as pc
 
 from ray.data import Dataset
 
-from .grouping import run_boundaries
+from .grouping import combine_by_key, run_boundaries, top_k
 
 # Tiny per-language stopword lists for the n-gram/stopword language heuristic.
 # Deliberately simple + deterministic (the corpus here is synthetic); the
@@ -189,13 +189,10 @@ def corpus_df_ds(ds: Dataset, *, text_col: str = "text") -> Dataset:
     of :func:`corpus_df`: the vocabulary never leaves the cluster, so this
     is the building block for the word-keyed shuffle-join paths
     (``vocab="join"``) that stay safe at 10⁹-word web vocabularies."""
-    agg = (
-        ds.map_batches(_df_partial_fn(text_col), batch_format="pyarrow")
-        .groupby("word")
-        .sum("df")
-    )
-    return agg.map_batches(
-        lambda t: t.rename_columns(["word", "df"]), batch_format="pyarrow"
+    return combine_by_key(
+        ds.map_batches(_df_partial_fn(text_col), batch_format="pyarrow"),
+        "word",
+        [("df", "sum")],
     )
 
 
@@ -213,12 +210,7 @@ def corpus_df(
     unbounded vocabulary on the driver; callers with adversarial/web-scale
     vocabularies use the ``vocab="join"`` paths built on
     :func:`corpus_df_ds`."""
-    agg = (
-        ds.map_batches(_df_partial_fn(text_col), batch_format="pyarrow")
-        .groupby("word")
-        .sum("df")
-    )
-    rows = agg.take(max_distinct + 1)
+    rows = corpus_df_ds(ds, text_col=text_col).take(max_distinct + 1)
     if len(rows) > max_distinct:
         raise ValueError(
             f"corpus_df: vocabulary exceeds max_distinct={max_distinct}; "
@@ -227,7 +219,7 @@ def corpus_df(
             "the guard deliberately"
         )
     words = sorted(r["word"] for r in rows)
-    dfmap = {r["word"]: r["sum(df)"] for r in rows}
+    dfmap = {r["word"]: r["df"] for r in rows}
     return pa.table(
         {
             "word": pa.array(words, pa.string()),
@@ -546,26 +538,27 @@ def bigram_pmi(
         s = pc.split_pattern(t["ngram"], " ")
         if isinstance(s, pa.ChunkedArray):
             s = s.combine_chunks()
-        out = []
-        for side, idx in (("l", 0), ("r", 1)):
-            m = pa.table(
-                {
-                    "side": pa.array([side] * t.num_rows),
-                    "word": pc.list_element(s, idx),
-                    "cnt": t["cnt"],
-                }
-            )
-            out.append(m.group_by(["side", "word"]).aggregate([("cnt", "sum")]))
-        return pa.concat_tables(out)
+        return pa.concat_tables(
+            [
+                pa.table(
+                    {
+                        "side": pa.array([side] * t.num_rows),
+                        "word": pc.list_element(s, idx),
+                        "cnt": t["cnt"],
+                    }
+                )
+                for side, idx in (("l", 0), ("r", 1))
+            ]
+        )
 
     left: dict = {}
     right: dict = {}
-    marg_rows = (
-        pairs.map_batches(_marginal_partial, batch_format="pyarrow")
-        .groupby(["side", "word"])
-        .sum("cnt_sum")
-        .take(2 * max_distinct + 1)
-    )  # vocabulary-sized by construction (≤ 2·vocab rows)
+    # vocabulary-sized by construction (≤ 2·vocab rows)
+    marg_rows = combine_by_key(
+        pairs.map_batches(_marginal_partial, batch_format="pyarrow"),
+        ["side", "word"],
+        [("cnt", "sum")],
+    ).take(2 * max_distinct + 1)
     if len(marg_rows) > 2 * max_distinct:
         raise ValueError(
             f"bigram_pmi: marginal vocabulary exceeds max_distinct="
@@ -574,7 +567,7 @@ def bigram_pmi(
         )
     for row in marg_rows:
         d = left if row["side"] == "l" else right
-        d[row["word"]] = int(row["sum(cnt_sum)"])
+        d[row["word"]] = int(row["cnt"])
     lr_ref = _ray.put((left, right))
 
     def _score(t: pa.Table) -> pa.Table:
@@ -604,10 +597,10 @@ def bigram_pmi(
             }
         )
 
-    return (
-        pairs.map_batches(_score, batch_format="pyarrow")
-        .sort(["pmi_x1e12", "ngram"], descending=[True, False])
-        .limit(k)
+    return top_k(
+        pairs.map_batches(_score, batch_format="pyarrow"),
+        [("pmi_x1e12", "descending"), ("ngram", "ascending")],
+        k,
     )
 
 
@@ -636,17 +629,10 @@ def _bigram_pmi_join(
 
     def _marginal(col: str, out: str) -> Dataset:
         def _partial(t: pa.Table) -> pa.Table:
-            g = t.select([col, "cnt"]).group_by(col).aggregate([("cnt", "sum")])
-            return g.rename_columns(["word", out])
+            return t.select([col, "cnt"]).rename_columns(["word", out])
 
-        return (
-            pw.map_batches(_partial, batch_format="pyarrow")
-            .groupby("word")
-            .sum(out)
-            .map_batches(
-                lambda t, o=out: t.rename_columns(["word", o]),
-                batch_format="pyarrow",
-            )
+        return combine_by_key(
+            pw.map_batches(_partial, batch_format="pyarrow"), "word", [(out, "sum")]
         )
 
     lm = _marginal("lw", "left_cnt")
@@ -677,10 +663,10 @@ def _bigram_pmi_join(
             }
         )
 
-    return (
-        j2.map_batches(_score, batch_format="pyarrow")
-        .sort(["pmi_x1e12", "ngram"], descending=[True, False])
-        .limit(k)
+    return top_k(
+        j2.map_batches(_score, batch_format="pyarrow"),
+        [("pmi_x1e12", "descending"), ("ngram", "ascending")],
+        k,
     )
 
 
@@ -706,7 +692,7 @@ def unigram_surprisal(
 
     Scale shape, ``vocab="broadcast"`` (default): pass 1 is the corpus
     unigram count table (in-batch ``value_counts`` combiner → one
-    vocabulary-bounded ``groupby`` exchange), collected — LOUDLY guarded at
+    vocabulary-bounded :func:`combine_by_key` exchange), collected — LOUDLY guarded at
     ``max_distinct`` — and broadcast via ``ray.put``.  Pass 2 is one
     vectorized batch pass: split → dictionary-encode → per-DISTINCT-word
     lookup fanned out via codes → ``np.add.reduceat`` per-document sums.
@@ -733,10 +719,8 @@ def unigram_surprisal(
             }
         )
 
-    count_agg = (
-        ds.map_batches(_count_partial, batch_format="pyarrow")
-        .groupby("word")
-        .sum("cnt")
+    count_agg = combine_by_key(
+        ds.map_batches(_count_partial, batch_format="pyarrow"), "word", [("cnt", "sum")]
     )
     if vocab == "join":
         return _unigram_surprisal_join(
@@ -758,7 +742,7 @@ def unigram_surprisal(
             f"{max_distinct}; a driver collect would be unbounded — use "
             'vocab="join" or raise the guard deliberately'
         )
-    counts = {row["word"]: int(row["sum(cnt)"]) for row in rows}
+    counts = {row["word"]: int(row["cnt"]) for row in rows}
     total = sum(counts.values())
     if total > (2**63 - 1) // scale:
         raise OverflowError(
@@ -826,14 +810,11 @@ def _unigram_surprisal_join(
     from .grouping import group_apply, segmented_sum
     from .joins import cogroup_join
 
-    # counts_ds feeds TWO consumers (the total reduction and the join's
-    # build side): materialize once so the corpus-wide count aggregation
-    # runs once, not twice — object-store residency, not a driver collect
-    counts_ds = count_agg.map_batches(
-        lambda t: t.rename_columns(["word", "cnt"]), batch_format="pyarrow"
-    ).materialize()
+    # count_agg feeds TWO consumers (the total reduction and the join's
+    # build side); combine_by_key's result is already materialized, so the
+    # corpus-wide count aggregation runs once
     total = 0
-    for row in counts_ds.map_batches(
+    for row in count_agg.map_batches(
         lambda t: pa.table(
             {"s": pa.array([pc.sum(t["cnt"]).as_py() or 0], pa.int64())}
         ),
@@ -848,7 +829,7 @@ def _unigram_surprisal_join(
 
     pairs = _doc_word_tf_pairs(ds, id_col, text_col)
     joined = cogroup_join(
-        pairs, counts_ds, on=["word"], num_partitions=num_partitions
+        pairs, count_agg, on=["word"], num_partitions=num_partitions
     )
 
     def _contrib(batch: pa.Table) -> pa.Table:
@@ -1045,11 +1026,10 @@ def bm25_topk(
         )
 
     agg = {
-        r["key"]: int(r["sum(val)"])
-        for r in ds.map_batches(_stats, batch_format="pyarrow")
-        .groupby("key")
-        .sum("val")
-        .take_all()
+        r["key"]: int(r["val"])
+        for r in combine_by_key(
+            ds.map_batches(_stats, batch_format="pyarrow"), "key", [("val", "sum")]
+        ).take_all()
     }
     if "\x00N" not in agg:  # zero blocks: the corpus is certainly empty
         return pa.table(

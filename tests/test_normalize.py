@@ -110,11 +110,14 @@ def test_config_round_trip():
     assert cfg.num_partitions == 99
 
 
-def test_metrics_distributed_finalize(pipeline_out, tmp_path, ray_session):
-    """The dims-exploded branch: force the distributed combine and compare
-    against the local combine's result."""
+def test_metrics_distributed_finalize(pipeline_out, tmp_path, ray_session,
+                                      monkeypatch):
+    """The dims-exploded branch: a threshold below any partial size sends
+    the final combine through ``combine_by_key``; it must match the local
+    combine's result."""
     import pandas as pd
 
+    from hypertrace_ingester_ray.pipelines import ingest
     from hypertrace_ingester_ray.pipelines.ingest import finalize_metrics, view_dataset
 
     out, _ = pipeline_out
@@ -123,7 +126,8 @@ def test_metrics_distributed_finalize(pipeline_out, tmp_path, ray_session):
     alt = str(tmp_path / "alt")
     os.makedirs(alt)
     shutil.copytree(os.path.join(out, "metrics_partial"), os.path.join(alt, "metrics_partial"))
-    finalize_metrics(alt, force_distributed=True)
+    monkeypatch.setattr(ingest, "DISTRIBUTED_METRICS_THRESHOLD", -1)
+    finalize_metrics(alt)
     dist = view_dataset(alt, "metrics").to_pandas()
 
     key = ["window_ts", "tenant_id", "service_name", "api_status"]

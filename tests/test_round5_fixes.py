@@ -3,19 +3,12 @@
 1. _hash_column must take the exact-integer path even when the batch has
    nulls: keys with |v| > 2^53 must land in the same partition regardless
    of per-batch null presence, and nulls hash to one fixed partition.
-2. _key_sentinel returns None for unsupported key types (date32, decimal),
-   so fill/restore become pass-through no-ops instead of raising.
 """
 
 import numpy as np
 import pyarrow as pa
 
-from hypertrace_ingester_ray.stages.grouping import (
-    _hash_column,
-    _key_sentinel,
-    fill_null_keys,
-    restore_null_keys,
-)
+from hypertrace_ingester_ray.stages.grouping import _hash_column
 
 
 def test_hash_column_big_int_keys_stable_under_nulls():
@@ -47,33 +40,6 @@ def test_hash_column_uint64_path():
     a = pa.chunked_array([pa.array([2**63 + 5, None], pa.uint64())])
     b = pa.chunked_array([pa.array([2**63 + 5], pa.uint64())])
     assert _hash_column(a, 1024)[0].as_py() == _hash_column(b, 1024)[0].as_py()
-
-
-def test_key_sentinel_unsupported_types_return_none():
-    assert _key_sentinel(pa.date32()) is None
-    assert _key_sentinel(pa.decimal128(10, 2)) is None
-    assert _key_sentinel(pa.int64()) is not None
-    assert _key_sentinel(pa.string()) is not None
-    assert _key_sentinel(pa.timestamp("us")) is not None
-
-
-def test_fill_restore_passthrough_for_date32_keys():
-    t = pa.table(
-        {
-            "d": pa.array([18000, None, 18002], pa.date32()),
-            "v": pa.array([1.0, 2.0, 3.0]),
-        }
-    )
-    filled = fill_null_keys(t, "d")
-    assert filled["d"].to_pylist() == t["d"].to_pylist()  # unchanged
-    restored = restore_null_keys(filled, ["d"])
-    assert restored["d"].to_pylist() == t["d"].to_pylist()
-
-
-def test_fill_restore_roundtrip_int_keys_unchanged():
-    t = pa.table({"k": pa.array([1, None, 3], pa.int64())})
-    rt = restore_null_keys(fill_null_keys(t, "k"), "k")
-    assert rt["k"].to_pylist() == [1, None, 3]
 
 
 def test_poly_hash_strings_matches_duckdb():

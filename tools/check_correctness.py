@@ -2,13 +2,17 @@
 
 Runs every ``queries()`` entry at the given sf_dir, runs the matching
 ``oracle_sql()`` in DuckDB over the same Parquet tables, and compares
-row count, column names, and order-insensitive values.
+row count, column names, and order-insensitive values.  Every result line
+ends with ``sha=<12 hex>``, a SHA-256 of the query's normalized, sorted
+rows, so two gate logs (say, before and after a change) show which
+queries returned identical values.
 
 Usage (from /root/repo):  python tools/check_correctness.py [sf_dir]
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 import sys
 import time
@@ -28,10 +32,23 @@ def to_pandas(result) -> pd.DataFrame:
     import pyarrow as pa
 
     try:
+        import ray
         from ray.data import Dataset
 
         if isinstance(result, Dataset):
-            return result.to_pandas()
+            # Dataset.to_pandas() skips zero-row blocks, so a typed empty
+            # result would lose its columns; its Arrow blocks keep them
+            blocks = ray.get(result.to_arrow_refs())
+            typed = [t for t in blocks if t.num_rows] or [
+                t for t in blocks if t.num_columns
+            ][:1]
+            if typed:
+                return pa.concat_tables(typed, promote_options="default").to_pandas()
+            sch = result.schema()
+            base = getattr(sch, "base_schema", sch)
+            if isinstance(base, pa.Schema):
+                return base.empty_table().to_pandas()
+            return pd.DataFrame()
     except ImportError:
         pass
     if isinstance(result, pa.Table):
@@ -46,6 +63,19 @@ def normalize(df: pd.DataFrame) -> pd.DataFrame:
             df[c] = df[c].astype(str)
     df = df.sort_values(list(df.columns), kind="mergesort").reset_index(drop=True)
     return df
+
+
+def digest(df: pd.DataFrame) -> str:
+    """Short SHA-256 of the normalized, sorted rows (floats to 9
+    significant digits, so summation order does not show)."""
+    df = normalize(df)
+    try:
+        csv = df.to_csv(index=False, float_format="%.9g")
+    except TypeError:
+        # an extension column (e.g. Ray's pickled-object fallback for ints
+        # beyond int64) that the CSV writer cannot render: use its str()
+        csv = df.astype(str).to_csv(index=False)
+    return hashlib.sha256(csv.encode()).hexdigest()[:12]
 
 
 def compare(name: str, mine: pd.DataFrame, oracle: pd.DataFrame) -> str:
@@ -112,8 +142,9 @@ def main(sf_dir: str, only=None):
             failures += 1
             continue
         dt = time.perf_counter() - t0
+        sha = digest(mine)
         if name not in oracles:
-            print(f"{name:28s} rows-only: {len(mine)} rows   ({dt:.1f}s)")
+            print(f"{name:28s} rows-only: {len(mine)} rows   ({dt:.1f}s) sha={sha}")
             continue
         try:
             oracle = con.sql(oracles[name]).df()
@@ -122,7 +153,7 @@ def main(sf_dir: str, only=None):
             failures += 1
             continue
         verdict = compare(name, mine, oracle)
-        print(f"{name:28s} {verdict}  ({len(mine)} rows, {dt:.1f}s)")
+        print(f"{name:28s} {verdict}  ({len(mine)} rows, {dt:.1f}s) sha={sha}")
         if verdict != "OK":
             failures += 1
     print("FAILURES:", failures)
