@@ -1504,15 +1504,6 @@ def _smb_user_stats(sf_dir: str):
     )
 
     def _stats(part: pa.Table) -> pa.Table:
-        if part.num_rows == 0:
-            return pa.table(
-                {
-                    "user_id": pa.array([], pa.int64()),
-                    "n_events": pa.array([], pa.int64()),
-                    "sum_cents": pa.array([], pa.int64()),
-                    "first_cents": pa.array([], pa.int64()),
-                }
-            )
         u = part["user_id"].to_numpy(zero_copy_only=False)
         c = part["cents"].to_numpy(zero_copy_only=False)
         b = run_boundaries(u)
@@ -2537,10 +2528,9 @@ def _events_skewjoin_sampled(sf_dir: str):
     def _derive(batch: pa.Table) -> pa.Table:
         uid = batch["user_id"].to_numpy(zero_copy_only=False)
         k = np.where(uid % 5 == 0, np.int64(-1), uid)
-        cents = np.floor(
-            batch["value"].to_numpy(zero_copy_only=False) * 100.0
-        ).astype(np.int64)
-        return pa.table({"k": pa.array(k), "v_cents": pa.array(cents)})
+        # NULL value stays NULL cents, as the oracle's CAST(FLOOR(..)) keeps it
+        cents = pc.cast(pc.floor(pc.multiply(batch["value"], 100.0)), pa.int64())
+        return pa.table({"k": pa.array(k), "v_cents": cents})
 
     evk = ev.map_batches(_derive, batch_format="pyarrow")
 

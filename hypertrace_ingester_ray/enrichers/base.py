@@ -33,7 +33,6 @@ from ..stages.grouping import (
     run_boundaries,
     segment_ids_from_boundaries,
     segmented_broadcast_first,
-    segmented_cumcount,
 )
 
 
@@ -199,11 +198,12 @@ class EnrichmentRegistry:
             raise ValueError("cycle in enricher dependencies")
         return out
 
-    def apply(self, table: pa.Table) -> pa.Table:
-        """EnrichmentProcessor.process analog: one shared context, enrichers
-        in dependency order, per-enricher failure tolerated
-        (EnrichmentProcessor.java:94-104 swallows and counts)."""
-        ctx = ConversationContext(table)
+    def apply(self, ctx: ConversationContext) -> pa.Table:
+        """EnrichmentProcessor.process analog: enrichers in dependency order
+        over ``ctx.table``, all sharing the caller's context (built once per
+        batch; the view builders reuse it).  Returns the enriched table,
+        which is also left in ``ctx.table``."""
+        table = ctx.table
         for e in self.ordered:
             table = e.enrich(table, ctx)
             ctx.table = table

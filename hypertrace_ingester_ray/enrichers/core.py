@@ -38,19 +38,6 @@ def md5_id(prefix: str, value: str) -> str:
     return prefix + hashlib.md5(value.encode()).hexdigest()[:8]
 
 
-def _map_unique(values: np.ndarray, fn) -> np.ndarray:
-    """Apply a scalar fn per *unique* non-null value, broadcast back
-    (lookup-cache analog of EntityCache, .../enrichers/cache/EntityCache.java)."""
-    values = values.astype(object)
-    valid = values != None  # noqa: E711 — elementwise on object dtype
-    out = np.full(len(values), None, dtype=object)
-    if valid.any():
-        uniq, inverse = np.unique(values[valid].astype(str), return_inverse=True)
-        mapped = np.array([fn(u) for u in uniq], dtype=object)
-        out[valid] = mapped[inverse]
-    return out
-
-
 class SpanKindEnricher(Enricher):
     """SpanTypeAttributeEnricher analog (SpanTypeAttributeEnricher.java:88-179):
     role → span_kind, tool → protocol."""

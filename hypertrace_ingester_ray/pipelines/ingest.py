@@ -28,8 +28,10 @@ six view builders (conversation-local) and the metrics partial run once
 over the whole batch, so their fixed per-call cost is paid once; the
 row-dropping stages (tenant drop, rate limit, root-exit drop) and assembly
 run per partition, so every manifest counter stays exact.  Partitions at
-or above the target run one per task.  Bucketed replay keeps one partition
-per call.
+or above the target run one per task.  Bucketed replay
+(``prepare_bucketed_corpus``) skips the exchange map: its stored buckets
+are the partitions, counted from their Parquet footers, and ride the same
+reduce batches (``stages.grouping.bucketed_reduce``).
 
 The metrics aggregation mirrors the reference's metrics pipeline consuming
 the RawServiceView topic (hypertrace-metrics-generator/.../
@@ -70,10 +72,10 @@ from ray.data import Dataset
 from .. import schemas
 from ..enrichers import build_default_registry
 from ..enrichers.base import ConversationContext
-from ..sources.transcripts import read_transcripts
 from ..stages.grouping import (
     DEFAULT_NUM_PARTITIONS,
     assemble_conversations,
+    bucketed_reduce,
     group_apply_batches,
 )
 from ..stages.filters import RateLimitConfig
@@ -265,8 +267,10 @@ def process_partitions(
         if len(assembled) == 1
         else pa.concat_tables(assembled, promote_options="default")
     )
-    enriched = registry.apply(whole)
-    ctx = ConversationContext(enriched)
+    # one context per batch, shared by the enricher DAG and the six views
+    # (enrichers only append columns, so its memoized columns stay valid)
+    ctx = ConversationContext(whole)
+    enriched = registry.apply(ctx)
     views = {name: builder(enriched, ctx) for name, builder in VIEW_BUILDERS.items()}
     if len(tables) == 1:
         counts = {name: [t.num_rows] for name, t in views.items()}
@@ -457,7 +461,7 @@ def _partition_batch_task(
     committed: Dict[int, dict],
 ):
     """Stateless-task form of the partition stage for one reduce batch of
-    the direct exchange (or one bucket of bucketed replay)."""
+    the direct exchange or of bucketed replay."""
     return _cached_processor(out_dir, config, peer_index, cache_key).process_batch(
         parts, committed
     )
@@ -707,7 +711,8 @@ def run_pipeline(
     if bucketed_corpus is not None:
         from ..stages.sinks import _load_bucket_meta
 
-        meta = _load_bucket_meta(os.path.join(bucketed_corpus, "main"))
+        main_dir = os.path.join(bucketed_corpus, "main")
+        meta = _load_bucket_meta(main_dir)
         if list(meta["key"]) != ["conv_id"]:
             raise ValueError(
                 f"bucketed_corpus is keyed by {meta['key']}, need ['conv_id']"
@@ -737,9 +742,7 @@ def run_pipeline(
             main
             if main is not None
             # bucketed replay: scan the stored bucket files (no shuffle)
-            else ray.data.read_parquet(
-                os.path.join(bucketed_corpus, "main", "data")
-            )
+            else ray.data.read_parquet(os.path.join(main_dir, "data"))
         )
 
     # S6 analog: write the sink schema manifest once at pipeline start
@@ -764,28 +767,14 @@ def run_pipeline(
         cache_key=cache_key,
         committed=committed,
     )
+    # stateless batch tasks, processor cached per worker process; exchanged
+    # partitions and stored buckets share the reduce batches
+    # (stages/grouping.py _reduce_stage).  One stats row per partition.
     if bucketed_corpus is not None:
-        from ..stages.sinks import bucketed_group_apply
-
-        def _run_bucket(part: pa.Table, part_id: int) -> pa.Table:
-            if part.num_rows == 0:  # hash range empty at bucketing time
-                return PartitionProcessor.STATS_SCHEMA.empty_table()
-            return batch_task([(part_id, part)])
-
-        stats = bucketed_group_apply(
-            os.path.join(bucketed_corpus, "main"),
-            _run_bucket,
-            sort_by=["turn_idx", "ts"],
-            pass_part_id=True,
-        ).to_pandas()
-        if stats.empty:  # every bucket empty
-            stats = PartitionProcessor.STATS_SCHEMA.empty_table().to_pandas()
-        reduce_tasks = len(stats)
+        stats_refs = bucketed_reduce(
+            [main_dir], batch_task, sort_by=["turn_idx", "ts"]
+        )
     else:
-        # stateless batch tasks over the direct exchange; small partitions
-        # share one reduce task (stages/grouping.py plan_reduce_batches),
-        # processor cached per worker process.  One stats row per
-        # partition, fetched straight from the reduce tasks.
         stats_refs = group_apply_batches(
             main,
             "conv_id",
@@ -793,10 +782,10 @@ def run_pipeline(
             sort_by=["turn_idx", "ts"],
             num_partitions=config.num_partitions,
         )
-        stats = pa.concat_tables(
-            ray.get(stats_refs) or [PartitionProcessor.STATS_SCHEMA.empty_table()]
-        ).to_pandas()
-        reduce_tasks = len(stats_refs)
+    stats = pa.concat_tables(
+        ray.get(stats_refs) or [PartitionProcessor.STATS_SCHEMA.empty_table()]
+    ).to_pandas()
+    reduce_tasks = len(stats_refs)
     phases["main_stage"] = round(time.perf_counter() - t0, 2)
 
     # bypass side output (SpanNormalizer.java:66-70 routed branch)
@@ -825,11 +814,9 @@ def run_pipeline(
 
     # metrics stage: final combine over the per-batch partial counts
     # written by the partition stage (the combiner pattern — the full per-turn
-    # data is never re-read or re-shuffled).  Partial volume is bounded by
-    # dims × reduce batches; for the sizes this yields, a single-process Arrow
-    # group-by beats spinning up another distributed pipeline.  Should dims
-    # explode (very fine windows × high service cardinality), swap this for
-    # `windowed_metrics(view_dataset(out_dir, "metrics_partial"))`.
+    # data is never re-read or re-shuffled).  finalize_metrics picks a
+    # single-process Arrow group-by, or combine_by_key on the direct exchange
+    # once the partials pass DISTRIBUTED_METRICS_THRESHOLD bytes.
     finalize_metrics(out_dir)
     phases["metrics_finalize"] = round(
         time.perf_counter() - t0 - phases["main_stage"], 2

@@ -37,7 +37,7 @@ import pyarrow.compute as pc
 from ray.data import Dataset
 
 from ..functions.hashing import popcount64, shingle_hashes
-from .grouping import combine_by_key, group_apply, run_boundaries
+from .grouping import _arrow_block, combine_by_key, group_apply, run_boundaries
 from .similarity import _to_matrix, _valid_vec_rows
 
 # ---------------------------------------------------------------------------
@@ -679,6 +679,22 @@ def verified_near_dup_pairs(
 # ---------------------------------------------------------------------------
 
 
+def _block_label_sum(block) -> int:
+    t = _arrow_block(block)
+    return (pc.sum(t["label"]).as_py() or 0) if t.num_rows else 0
+
+
+def _label_sum(labels: Dataset) -> int:
+    """Global ``label`` sum, one task per block (``Dataset.sum`` would run
+    Ray Data's all-to-all ``groupby(None)``)."""
+    import ray
+
+    task = ray.remote(_block_label_sum)
+    refs = [r for bundle in labels.iter_internal_ref_bundles()
+            for r in bundle.block_refs]
+    return sum(ray.get([task.remote(r) for r in refs]))
+
+
 def connected_components(
     pairs: Dataset,
     *,
@@ -736,7 +752,7 @@ def connected_components(
         "node",
         [("label", "min")],
     )
-    prev_sum = labels.sum("label") or 0
+    prev_sum = _label_sum(labels)
 
     for _ in range(max_iters):
         # message pass: edge (u,v) ships label[u] to v; v keeps its own too
@@ -751,7 +767,7 @@ def connected_components(
             batch_format="pyarrow",
         )
         labels_new = combine_by_key(msgs.union(labels), "node", [("label", "min")])
-        new_sum = labels_new.sum("label") or 0
+        new_sum = _label_sum(labels_new)
         labels = labels_new
         if new_sum == prev_sum:  # min-labels can only decrease; fixed point
             return labels.map_batches(

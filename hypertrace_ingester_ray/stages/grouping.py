@@ -21,7 +21,10 @@ overhead is O(partitions), not O(groups), while the shuffle volume is
 identical.  The same exchange, with the same reduce batches, carries
 ``group_apply_batches`` (the flagship), the two-input ``cogroup`` that
 every co-shuffle join builds on, and ``combine_by_key``, the keyed sum/min
-behind every aggregate; slices travel as plain Arrow tables.  Global
+behind every aggregate; slices travel as plain Arrow tables.  Stored
+bucketed tables (exchanges whose map side ran at write time) ride the same
+reduce batches through ``bucketed_reduce``: bucketed replay,
+``bucketed_group_apply`` and ``bucketed_join``.  Global
 ``ORDER BY ... LIMIT k`` is ``top_k`` (per-block top k, driver merge), so
 nothing in the engine runs Ray Data's sort-shuffle ``groupby`` or ``sort``.
 
@@ -47,6 +50,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
 
 from ray.data import Dataset
 
@@ -389,10 +393,12 @@ def plan_reduce_batches(counts, target_rows=REDUCE_BATCH_ROWS, min_batches=1):
 
 def _concat_sort(order, tables, schema=None) -> pa.Table:
     """One side of one partition's reduce input: its slices from every map
-    task, concatenated and sorted once by the full group/order key.  A side
-    with no rows in the partition comes back as ``schema``'s typed empty
-    table."""
-    tables = [t for t in tables if t is not None and t.num_rows]
+    task (or a stored bucket file's path, read here), concatenated and
+    sorted once by the full group/order key.  A side with no rows in the
+    partition comes back as ``schema``'s typed empty table."""
+    tables = [pq.read_table(t).replace_schema_metadata(None)
+              if isinstance(t, str) else t for t in tables if t is not None]
+    tables = [t for t in tables if t.num_rows]
     if not tables and schema is not None:
         return schema.empty_table()
     t = pa.concat_tables(tables, promote_options="default")
@@ -464,20 +470,9 @@ def _direct_exchange(inputs, keys, batch_fn, *, orders, num_partitions,
     22 s against 44 s, 1,024 over sf0.01 in 5 s against 12 s.  Multi-node
     behaviour at that fan-out has not been measured.
 
-    Reduce batching: after the counts barrier (row counts summed over all
-    inputs) the non-empty partitions are grouped into batches
-    (:func:`plan_reduce_batches`, about ``REDUCE_BATCH_ROWS`` rows each,
-    never fewer batches than cluster CPUs while partitions allow) and each
-    batch runs as ONE reduce task.  Many small partitions otherwise pay a
-    task launch, an argument fetch and the consumer's fixed per-call cost
-    each — the reducer's unit of work is separated from the key partition
-    (FP-Hadoop, VLDB'15).  Large inputs (partitions at or above the target)
-    keep one task per partition.
-
-    Returns ``(refs, map_refs)``: one ObjectRef per batch holding
-    ``batch_fn``'s output, or with ``per_partition_returns`` a flat list
-    with one ref per non-empty partition (the batch task then has one
-    return per partition); and the map tasks' refs, one list per input.
+    One :func:`_shuffle_map_fn` task per input block, the counts barrier,
+    then :func:`_reduce_stage`.  Returns ``(refs, map_refs)``: the reduce
+    stage's refs, and the map tasks' refs, one list per input.
 
     Streaming: map tasks launch as upstream blocks materialize
     (``iter_internal_ref_bundles`` is a streaming iterator); the reduce
@@ -487,8 +482,6 @@ def _direct_exchange(inputs, keys, batch_fn, *, orders, num_partitions,
     import ray as _ray
 
     map_remote = _ray.remote(num_returns=num_partitions + 1)(_shuffle_map_fn)
-    reduce_remote = _ray.remote(_shuffle_reduce_batch_fn)
-
     map_refs = [
         [
             map_remote.remote(block_ref, keys, num_partitions, identity, combine)
@@ -503,18 +496,74 @@ def _direct_exchange(inputs, keys, batch_fn, *, orders, num_partitions,
     # counts are tiny (P int64s per map task); fetching them blocks until all
     # maps finish — which is exactly when reduces become runnable anyway
     counts = np.sum(_ray.get([r[num_partitions] for r in all_maps]), axis=0)
+    refs = _reduce_stage(map_refs, counts, batch_fn, orders, schemas,
+                         per_partition_returns)
+    return refs, map_refs
+
+
+def _reduce_stage(sides, counts, batch_fn, orders, schemas,
+                  per_partition_returns):
+    """Reduce stage of exchanged and stored partitions: ``sides[s]`` lists
+    input ``s``'s sources, each indexable by partition id (map task refs,
+    or a bucket dir's file paths); ``counts[p]`` is partition ``p``'s rows.
+    The non-empty partitions are grouped into batches
+    (:func:`plan_reduce_batches`, about ``REDUCE_BATCH_ROWS`` rows each,
+    never fewer batches than cluster CPUs while partitions allow) and each
+    batch runs as ONE reduce task.  Many small partitions otherwise pay a
+    task launch, an argument fetch and the consumer's fixed per-call cost
+    each — the reducer's unit of work is separated from the key partition
+    (FP-Hadoop, VLDB'15).  Large partitions keep one task each.
+
+    Returns one ref per batch holding ``batch_fn``'s output, or with
+    ``per_partition_returns`` one per non-empty partition."""
+    import ray as _ray
+
+    reduce_remote = _ray.remote(_shuffle_reduce_batch_fn)
+    n_maps = [len(side) for side in sides]
+    schemas = schemas or [None] * len(sides)
     cpus = int(_ray.cluster_resources().get("CPU", 1))
-    n_maps = [len(side) for side in map_refs]
-    schemas = schemas or [None] * len(inputs)
     out = []
     for batch in plan_reduce_batches(counts, REDUCE_BATCH_ROWS, cpus):
         n_returns = len(batch) if per_partition_returns else 1
         refs = reduce_remote.options(num_returns=n_returns).remote(
             batch_fn, orders, schemas, n_maps, batch,
-            *[r[p] for p in batch for side in map_refs for r in side],
+            *[src[p] for p in batch for side in sides for src in side],
         )
         out.extend(refs if n_returns > 1 else [refs])
-    return out, map_refs
+    return out
+
+
+def bucketed_reduce(dirs, batch_fn, *, sort_by=None,
+                    per_partition_returns=False) -> list:
+    """:func:`_reduce_stage` over stored :func:`~.sinks.write_bucketed`
+    tables, exchanges whose map side ran at write time: bucket ``i`` of
+    every dir is partition ``i``, so the dirs' contracts must agree.  Row
+    counts come from the bucket files' Parquet footers (0 for a missing
+    file: that hash range was empty at write time); each task reads its
+    files, and a missing one is its dir's typed empty table.  Side ``s`` is
+    sorted by ``[*its keys, *sort_by]``."""
+    from ..state import lineage
+    from .sinks import _load_bucket_meta
+
+    metas = [_load_bucket_meta(d) for d in dirs]
+    for name in ("num_buckets", "hash_version", "key_kinds"):
+        vals = [m[name] for m in metas]
+        if any(v != vals[0] for v in vals):
+            raise ValueError(
+                f"bucketed tables differ in {name} ({' vs '.join(map(str, vals))}); "
+                "re-bucket one side with write_bucketed to match"
+            )
+    num_buckets = int(metas[0]["num_buckets"])
+    paths, rows = [], []
+    for d in dirs:
+        files = [lineage.part_file(d, "data", i) for i in range(num_buckets)]
+        n = [pq.ParquetFile(f).metadata.num_rows if os.path.exists(f) else 0
+             for f in files]
+        paths.append([[f if k else None for f, k in zip(files, n)]])
+        rows.append(n)
+    orders = [list(m["key"]) + list(sort_by or []) for m in metas]
+    return _reduce_stage(paths, np.sum(rows, axis=0), batch_fn, orders,
+                         [m["schema"] for m in metas], per_partition_returns)
 
 
 def group_apply_batches(

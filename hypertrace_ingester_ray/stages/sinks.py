@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import os
+from functools import partial
 from typing import Optional
 
 import pyarrow as pa
@@ -28,7 +29,13 @@ import pyarrow as pa
 from ray.data import Dataset
 
 from ..state import lineage
-from .grouping import DEFAULT_NUM_PARTITIONS, combine_by_key, group_apply
+from .grouping import (
+    DEFAULT_NUM_PARTITIONS,
+    _apply_per_partition,
+    bucketed_reduce,
+    combine_by_key,
+    group_apply,
+)
 
 _STATS_SCHEMA = pa.schema(
     [
@@ -461,7 +468,8 @@ def write_bucketed(
     raw = ds.schema()
     if raw is None:
         # a certainly-empty dataset reports no schema — the bucketing
-        # contract still needs one (bucketed_join validates against it)
+        # contract still needs one (its key kinds, and the typed empty
+        # table of every missing bucket)
         if schema is None:
             raise ValueError(
                 "write_bucketed: dataset has no schema (it is certainly "
@@ -506,6 +514,14 @@ def _load_bucket_meta(out_dir: str) -> dict:
     return meta
 
 
+def _join_sides(keys_a, keys_b, join_type, ta: pa.Table, tb: pa.Table) -> pa.Table:
+    """One bucket pair of :func:`bucketed_join` (B's keys renamed to A's)."""
+    if keys_b != keys_a:
+        ren = dict(zip(keys_b, keys_a))
+        tb = tb.rename_columns([ren.get(c, c) for c in tb.column_names])
+    return ta.join(tb, keys=keys_a, join_type=join_type)
+
+
 def bucketed_join(
     dir_a: str,
     dir_b: str,
@@ -514,74 +530,37 @@ def bucketed_join(
 ) -> Dataset:
     """Join two :func:`write_bucketed` tables with ZERO shuffle: bucket ``i``
     of A can only match bucket ``i`` of B (same key hash, same bucket
-    count — validated loudly from the stored contracts), so the join is an
-    embarrassingly parallel map over bucket pairs, one local
-    ``pyarrow.Table.join`` per pair.  Key columns may differ in NAME
-    (B's are renamed to A's positionally) but must hash identically
+    count — validated loudly from the stored contracts), so the join is
+    one local ``pyarrow.Table.join`` per bucket pair, run in the reduce
+    batches of :func:`~.grouping.bucketed_reduce`.  Key columns may differ
+    in NAME (B's are renamed to A's positionally) but must hash identically
     (same int-vs-object kind).
 
-    Scale shape: no exchange at all — each task reads two co-bucketed
-    parquet files and joins in memory.  At 100 TB the bucket count chosen
-    at write time bounds per-task memory (buckets ≈ data / target task
-    size); re-bucket with a larger count rather than letting buckets grow.
-    A missing bucket file means that hash range was empty at write time
-    (empty partitions are skipped by the writer) — typed empty tables from
-    the stored schemas keep outer joins correct there.
+    Scale shape: no exchange at all.  The bucket count chosen at write
+    time bounds per-task memory (buckets ≈ data / target task size);
+    re-bucket with a larger count rather than letting buckets grow.  A
+    missing bucket file (a hash range empty at write time) is its stored
+    schema's typed empty table, which keeps outer joins correct; with no
+    rows anywhere the result is the join of the two typed empty tables.
     """
-    import ray as _ray
+    import ray.data as _rd
 
-    ma, mb = _load_bucket_meta(dir_a), _load_bucket_meta(dir_b)
-    for field, va, vb in (
-        ("num_buckets", ma["num_buckets"], mb["num_buckets"]),
-        ("hash_version", ma["hash_version"], mb["hash_version"]),
-        ("key_kinds", ma["key_kinds"], mb["key_kinds"]),
-    ):
-        if va != vb:
-            raise ValueError(
-                f"bucketed_join: {field} differs ({va} vs {vb}); "
-                "re-bucket one side with write_bucketed to match"
-            )
     from .joins import _COGROUP_JOIN_TYPES
 
-    join_type = _COGROUP_JOIN_TYPES[how]
-    keys_a, keys_b = list(ma["key"]), list(mb["key"])
-    schema_a, schema_b = ma["schema"], mb["schema"]
-    num_buckets = int(ma["num_buckets"])
-
-    def _join_bucket(batch: pa.Table) -> pa.Table:
-        import pyarrow.parquet as _pq
-
-        out = []
-        for i in batch["id"].to_pylist():
-            fa = lineage.part_file(dir_a, "data", i)
-            fb = lineage.part_file(dir_b, "data", i)
-            ta = (
-                _pq.read_table(fa)
-                if os.path.exists(fa)
-                else schema_a.empty_table()
-            )
-            tb = (
-                _pq.read_table(fb)
-                if os.path.exists(fb)
-                else schema_b.empty_table()
-            )
-            if keys_b != keys_a:
-                ren = dict(zip(keys_b, keys_a))
-                tb = tb.rename_columns(
-                    [ren.get(c, c) for c in tb.column_names]
-                )
-            out.append(
-                ta.replace_schema_metadata(None).join(
-                    tb.replace_schema_metadata(None),
-                    keys=keys_a,
-                    join_type=join_type,
-                )
-            )
-        return pa.concat_tables(out, promote_options="default")
-
-    return _ray.data.range(
-        num_buckets, override_num_blocks=num_buckets
-    ).map_batches(_join_bucket, batch_format="pyarrow")
+    ma, mb = _load_bucket_meta(dir_a), _load_bucket_meta(dir_b)
+    join = partial(
+        _join_sides, list(ma["key"]), list(mb["key"]), _COGROUP_JOIN_TYPES[how]
+    )
+    refs = bucketed_reduce(
+        [dir_a, dir_b],
+        partial(_apply_per_partition, join, False),
+        per_partition_returns=True,
+    )
+    if refs:
+        return _rd.from_arrow_refs(refs)
+    return _rd.from_arrow(
+        join(ma["schema"].empty_table(), mb["schema"].empty_table())
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -703,42 +682,25 @@ def bucketed_group_apply(
 ) -> Dataset:
     """``group_apply`` with ZERO shuffle over a :func:`write_bucketed`
     table: bucket ``i`` holds every row of every key-group whose hash lands
-    in ``i`` (the stored contract), so each task reads ONE bucket file,
-    sorts it by ``[*key, *sort_by]``, and runs the same partition processor
-    ``stages/grouping.group_apply`` would hand a post-exchange partition.
+    in ``i`` (the stored contract), so it is partition ``i`` of an exchange
+    whose map side already ran, and it rides ``group_apply``'s reduce
+    batches (:func:`~.grouping.bucketed_reduce`): sorted by ``[*key,
+    *sort_by]``, ``fn`` runs once per non-empty bucket, one block each.
 
     This completes the SMB story: the exchange is pre-paid once at write
     time and amortized by EVERY later grouped computation AND join over the
     table — the reference pre-shards spans to Kafka partitions by trace key
     for exactly this reason (JaegerSpanToAvroRawSpanTransformer.java:58-65).
-    A missing bucket file means that hash range was empty at write time;
-    ``fn`` sees a typed empty table so per-partition outputs stay aligned.
+    When no bucket has rows the result is ``fn`` over the stored schema's
+    typed empty table.
     """
-    import ray as _ray
+    import ray.data as _rd
 
-    meta = _load_bucket_meta(out_dir)
-    keys = list(meta["key"])
-    order = keys + list(sort_by or [])
-    schema = meta["schema"]
-    num_buckets = int(meta["num_buckets"])
-
-    def _run_bucket(batch: pa.Table) -> pa.Table:
-        import pyarrow.parquet as _pq
-
-        out = []
-        for i in batch["id"].to_pylist():
-            f = lineage.part_file(out_dir, "data", i)
-            t = (
-                _pq.read_table(f)
-                if os.path.exists(f)
-                else schema.empty_table()
-            )
-            t = t.replace_schema_metadata(None).sort_by(
-                [(c, "ascending") for c in order]
-            )
-            out.append(fn(t, i) if pass_part_id else fn(t))
-        return pa.concat_tables(out, promote_options="default")
-
-    return _ray.data.range(
-        num_buckets, override_num_blocks=num_buckets
-    ).map_batches(_run_bucket, batch_format="pyarrow")
+    run = partial(_apply_per_partition, fn, pass_part_id)
+    refs = bucketed_reduce(
+        [out_dir], run, sort_by=sort_by, per_partition_returns=True
+    )
+    if refs:
+        return _rd.from_arrow_refs(refs)
+    empty = _load_bucket_meta(out_dir)["schema"].empty_table()
+    return _rd.from_arrow(run([(0, empty)]))

@@ -113,16 +113,31 @@ def test_no_sort_shuffle_left(no_sort_shuffle, sf_dir, tmp_path, monkeypatch,
     """Every aggregate and top-k in the flagship and the main operator
     families runs with ``Dataset.groupby`` and ``Dataset.sort`` refusing."""
     from hypertrace_ingester_ray.pipelines import ingest
-    from hypertrace_ingester_ray.stages import corpus, metrics, sketches
+    from hypertrace_ingester_ray.stages import corpus, dedup, metrics, sketches
     from hypertrace_ingester_ray.sources.transcripts import transcripts_from_events
 
     out = str(tmp_path / "run")
-    summary = ingest.run_pipeline(
-        transcripts_from_events(sf_dir),
-        out,
-        ingest.PipelineConfig(num_partitions=8, peer_correlation=True),
-    )
+    cfg = ingest.PipelineConfig(num_partitions=8, peer_correlation=True)
+    summary = ingest.run_pipeline(transcripts_from_events(sf_dir), out, cfg)
     assert summary["view_counts"]["per_turn"] > 0
+
+    # bucketed replay: the prepare step's exchange and the stored reduce
+    bucket_dir = str(tmp_path / "corpus")
+    ingest.prepare_bucketed_corpus(transcripts_from_events(sf_dir), bucket_dir, cfg)
+    replay = ingest.run_pipeline(
+        None, str(tmp_path / "replay"), cfg, bucketed_corpus=bucket_dir
+    )
+    assert replay["view_counts"] == summary["view_counts"]
+
+    # label propagation's per-round convergence sum
+    pairs = ray.data.from_arrow(
+        pa.table({"doc_a": pa.array([1, 2, 10], pa.int64()),
+                  "doc_b": pa.array([2, 3, 11], pa.int64())})
+    )
+    comp = dedup.connected_components(pairs, num_partitions=4).take_all()
+    assert {r["node"]: r["component_id"] for r in comp} == {
+        1: 1, 2: 1, 3: 1, 10: 10, 11: 10,
+    }
 
     # the distributed branch of the final metrics combine
     shutil.rmtree(os.path.join(out, "metrics"))

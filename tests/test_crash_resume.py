@@ -342,6 +342,21 @@ def test_bucketed_write_and_join(ray_session, tmp_path):
     fo = bucketed_join(da, db, how="full_outer").to_pandas()
     assert len(fo) == 7 and fo[fo.k == 99].l.isna().all()
 
+    # no bucket has rows: the join of the two stored schemas' empty tables
+    ea, eb = str(tmp_path / "ea"), str(tmp_path / "eb")
+    write_bucketed(ray.data.from_arrow(left.slice(0, 0)), ea, key="k",
+                   num_buckets=4, schema=left.schema)
+    write_bucketed(ray.data.from_arrow(right.slice(0, 0)), eb, key="rk",
+                   num_buckets=4, schema=right.schema)
+    none = bucketed_join(ea, eb, how="full_outer")
+    assert none.count() == 0
+    sch = none.schema().base_schema
+    assert sch.names == ["k", "l", "r"]
+    assert sch.types == [pa.int64(), pa.string(), pa.string()]
+    # one all-empty side: the other side's rows, null-extended
+    lo_empty = bucketed_join(da, eb, how="left_outer").to_pandas()
+    assert len(lo_empty) == 5 and lo_empty.r.isna().all()
+
     # contract mismatch (different bucket count) raises
     db2 = str(tmp_path / "b2")
     write_bucketed(ray.data.from_arrow(right), db2, key="rk", num_buckets=8)
@@ -398,8 +413,9 @@ def test_zordered_write_prunes_both_columns(ray_session, tmp_path):
 
 def test_bucketed_group_apply_zero_shuffle(ray_session, tmp_path):
     """bucketed_group_apply == shuffle-based group_apply over the same data:
-    complete key-groups per bucket, key+sort order inside the partition,
-    empty buckets yield typed empty tables."""
+    complete key-groups per bucket, key+sort order inside the partition;
+    empty buckets never reach ``fn``, and a table with no rows at all gives
+    ``fn`` of the stored schema's typed empty table."""
     import numpy as np
     import pyarrow as pa
     import ray.data
@@ -465,14 +481,28 @@ def test_bucketed_group_apply_zero_shuffle(ray_session, tmp_path):
     )
     assert got.equals(exp), (len(got), len(exp))
 
+    empty = str(tmp_path / "bt_empty")
+    write_bucketed(ray.data.from_arrow(t.slice(0, 0)), empty, key="k",
+                   num_buckets=7, schema=t.schema)
+    none = bucketed_group_apply(empty, _stats, sort_by=["ord"])
+    assert none.count() == 0
+    sch = none.schema().base_schema
+    assert sch.names == ["k", "n", "first_v"]
+    assert set(sch.types) == {pa.int64()}
+
 
 def test_bucketed_corpus_replay_matches_direct_run(ray_session, tmp_path):
     """run_pipeline over a prepare_bucketed_corpus layout (ZERO query-time
     shuffle) produces byte-identical routed rows and view counts to the
-    direct shuffled run; bucket-count mismatch raises."""
+    direct shuffled run, in shared reduce batches; bucket-count mismatch
+    raises."""
+    import glob
+    import os
+
     import pytest as _pytest
 
     from hypertrace_ingester_ray.pipelines.ingest import (
+        SINKS,
         PipelineConfig,
         prepare_bucketed_corpus,
         run_pipeline,
@@ -493,6 +523,13 @@ def test_bucketed_corpus_replay_matches_direct_run(ray_session, tmp_path):
 
     assert s1["view_counts"] == s2["view_counts"]
     assert s1["rows_in"] == s2["rows_in"]
+    # the stored buckets ride the exchange's reduce batches: small buckets
+    # share a task, and each task writes one file per sink
+    assert s2["num_partitions"] == cfg.num_partitions
+    assert s2["reduce_tasks"] < cfg.num_partitions
+    for sink in SINKS:
+        files = glob.glob(os.path.join(replay_out, sink, "*.parquet"))
+        assert len(files) == s2["reduce_tasks"], sink
 
     import duckdb
 

@@ -13,6 +13,7 @@ from hypertrace_ingester_ray.enrichers import (
     EnrichmentRegistry,
     build_default_registry,
 )
+from hypertrace_ingester_ray.enrichers.base import ConversationContext
 from hypertrace_ingester_ray.stages.normalize import normalize_batch
 
 
@@ -70,7 +71,7 @@ def enriched():
     norm = normalize_batch(raw).append_column(
         "session_id", pa.array([0] * 6, pa.int32())
     )
-    return build_default_registry().apply(norm)
+    return build_default_registry().apply(ConversationContext(norm))
 
 
 def test_span_kind_and_protocol(enriched):
@@ -143,7 +144,7 @@ def test_service_registry_override():
         }
     )
     norm = normalize_batch(raw).append_column("session_id", pa.array([0], pa.int32()))
-    out = reg.apply(norm)
+    out = reg.apply(ConversationContext(norm))
     assert out["service_id"].to_pylist() == ["svc_custom"]
 
 
@@ -190,7 +191,7 @@ def enriched_v4():
     norm = normalize_batch(raw).append_column(
         "session_id", pa.array([0] * 6, pa.int32())
     )
-    return build_default_registry().apply(norm)
+    return build_default_registry().apply(ConversationContext(norm))
 
 
 def test_full_http_code_table(enriched_v4):

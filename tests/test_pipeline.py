@@ -185,8 +185,8 @@ def test_call_edges_four_scenarios(ray_session):
     )
     norm = normalize_batch(t)
     assembled, _, _ = assemble_conversations(norm)
-    enriched = build_default_registry().apply(assembled)
-    ctx = ConversationContext(enriched)
+    ctx = ConversationContext(assembled)
+    enriched = build_default_registry().apply(ctx)
     edges = call_edges_view(enriched, ctx).to_pandas()
 
     by_type = edges.groupby("edge_type").size().to_dict()
@@ -206,6 +206,44 @@ def test_call_edges_four_scenarios(ray_session):
         "jdbc://db:5432", "http://http:80/api/v1/view/3",
     ]
     assert b.backend_id.notna().all()
+
+
+def test_process_batch_builds_one_context(tmp_path, monkeypatch):
+    """One partition-stage call builds one ConversationContext, shared by
+    the enricher DAG and the six view builders."""
+    import pyarrow as pa
+
+    from hypertrace_ingester_ray.enrichers.base import ConversationContext
+    from hypertrace_ingester_ray.pipelines import ingest
+    from hypertrace_ingester_ray.stages.normalize import normalize_batch
+
+    built = []
+    init = ConversationContext.__init__
+
+    def _counting_init(self, table):
+        built.append(table.num_rows)
+        init(self, table)
+
+    monkeypatch.setattr(ConversationContext, "__init__", _counting_init)
+    n = 4
+    part = normalize_batch(
+        pa.table(
+            {
+                "conv_id": pa.array(["a", "a", "b", "b"], pa.string()),
+                "turn_idx": pa.array([0, 1, 0, 1], pa.int32()),
+                "role": pa.array(["user", "tool", "user", "assistant"], pa.string()),
+                "text": pa.array(
+                    ["GET /api/v1/x/1 HTTP/1.1 status=200 dur_ms=3 bytes=4"] * n,
+                    pa.string(),
+                ),
+                "tool": pa.array([None, "db", None, None], pa.string()),
+                "ts": pa.array([10, 20, 30, 40], pa.timestamp("us")),
+            }
+        )
+    )
+    stats = ingest.PartitionProcessor(str(tmp_path)).process_batch([(0, part)])
+    assert stats["rows_per_turn"].to_pylist() == [n]
+    assert built == [n]
 
 
 def test_rate_limit_wired_into_pipeline(tmp_path, sf_dir):
