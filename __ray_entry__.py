@@ -1462,11 +1462,9 @@ def _smb_user_stats(sf_dir: str):
     the layout + zero-shuffle grouping round-trip is value-checked."""
     import tempfile
 
-    import numpy as np
     import pyarrow as pa
     import pyarrow.compute as pc
 
-    from hypertrace_ingester_ray.stages.grouping import run_boundaries
     from hypertrace_ingester_ray.stages.sinks import (
         bucketed_group_apply,
         write_bucketed,
@@ -1504,17 +1502,18 @@ def _smb_user_stats(sf_dir: str):
     )
 
     def _stats(part: pa.Table) -> pa.Table:
-        u = part["user_id"].to_numpy(zero_copy_only=False)
-        c = part["cents"].to_numpy(zero_copy_only=False)
-        b = run_boundaries(u)
-        sums = np.add.reduceat(c, b[:-1])
+        # SQL aggregate semantics: a NULL cents is an event, adds nothing
+        # to the sum (all NULL sums to NULL) and is never the first cents;
+        # event_id-sorted within user, so "first" is arg_min by event_id
+        g = part.group_by("user_id", use_threads=False).aggregate(
+            [([], "count_all"), ("cents", "sum"), ("cents", "first")]
+        )
         return pa.table(
             {
-                "user_id": pa.array(u[b[:-1]]),
-                "n_events": pa.array(np.diff(b).astype(np.int64)),
-                "sum_cents": pa.array(sums.astype(np.int64)),
-                # event_id-sorted within user: cents of the first event
-                "first_cents": pa.array(c[b[:-1]]),
+                "user_id": g["user_id"],
+                "n_events": g["count_all"],
+                "sum_cents": g["cents_sum"],
+                "first_cents": g["cents_first"],
             }
         )
 

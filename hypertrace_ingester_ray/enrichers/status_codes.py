@@ -93,13 +93,3 @@ GRPC_CODE_NAMES = {
 
 API_STATUS_SUCCESS = "SUCCESS"
 API_STATUS_FAIL = "FAIL"
-
-
-def http_state(code: int) -> str:
-    """HttpCodeMapper.getState: 2xx/3xx → SUCCESS, everything else FAIL."""
-    return API_STATUS_SUCCESS if 200 <= code < 400 else API_STATUS_FAIL
-
-
-def grpc_state(code: int) -> str:
-    """GrpcCodeMapper.getState: OK (0) → SUCCESS, everything else FAIL."""
-    return API_STATUS_SUCCESS if code == 0 else API_STATUS_FAIL

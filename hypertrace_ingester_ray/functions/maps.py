@@ -188,15 +188,6 @@ def parse_query_params(
     return pa.MapArray.from_arrays(pa.array(map_off), gkeys, joined)
 
 
-def query_param_columns(
-    query_col, keys: Sequence[str]
-) -> dict:
-    """Scalar convenience columns: for each requested key, the comma-joined
-    URL-decoded value(s), null when absent."""
-    m = parse_query_params(query_col, key_prefix="")
-    return {k: map_get(pa.chunked_array([m]), k) for k in keys}
-
-
 def serialize_map(col, *, entry_sep: str = ";", kv_sep: str = "=") -> pa.Array:
     """Deterministic string rendering of a map column: entries key-sorted
     within each row, ``k=v`` joined by ``;``.  Used to hash-compare map

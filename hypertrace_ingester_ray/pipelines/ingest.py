@@ -774,8 +774,9 @@ def run_pipeline(
         stats_refs = bucketed_reduce(
             [main_dir], batch_task, sort_by=["turn_idx", "ts"]
         )
+        exchange_bytes = 0  # the exchange ran when the corpus was bucketed
     else:
-        stats_refs = group_apply_batches(
+        stats_refs, exchange_bytes = group_apply_batches(
             main,
             "conv_id",
             batch_task,
@@ -834,6 +835,8 @@ def run_pipeline(
         "elapsed_sec": elapsed,
         "num_partitions": len(stats),
         "reduce_tasks": reduce_tasks,
+        # Arrow IPC bytes the exchange's map tasks shipped to the reducers
+        "exchange_bytes": exchange_bytes,
         "resumed_partitions": int(stats["resumed"].sum()),
         "rows_in": total_rows_in,
         "rows_deduped": int(stats["rows_deduped"].sum()),

@@ -216,11 +216,3 @@ VIEW_SCHEMAS = {
     "per_tool": PER_TOOL_VIEW,
     "errors": ERROR_VIEW,
 }
-
-
-def assert_schema(table: pa.Table, schema: pa.Schema, where: str) -> None:
-    """Boundary assertion (replaces the reference's schema-registry serdes)."""
-    if table.schema.names != schema.names:
-        raise AssertionError(
-            f"{where}: column mismatch\n got: {table.schema.names}\n want: {schema.names}"
-        )

@@ -270,7 +270,7 @@ def pagerank(
 
     import pyarrow.parquet as _pq
 
-    from .grouping import _shuffle_map_fn
+    from .grouping import _read_source, _shuffle_map_ipc
 
     # num_returns=P needs P >= 2 to get a tuple back; 1-partition pagerank
     # is degenerate anyway
@@ -283,11 +283,11 @@ def pagerank(
     if not isinstance(node_type, pa.DataType):
         node_type = pa.int64()
 
-    map_remote = ray.remote(num_returns=P + 1)(_shuffle_map_fn)
+    map_remote = ray.remote(num_returns=P + 1)(_shuffle_map_ipc)
 
     def _exchange(ds, keys):
         """Direct hash exchange: per-block map tasks, each returning P
-        key-complete slices (+ the count vector, unused here)."""
+        key-complete slices as IPC buffers (+ the counts, unused here)."""
         return [
             map_remote.remote(br, keys, P)
             for bundle in ds.iter_internal_ref_bundles()
@@ -308,7 +308,7 @@ def pagerank(
 
     @ray.remote
     def _concat_slices(*slices):
-        ts = [s for s in slices if s is not None and s.num_rows]
+        ts = [_read_source(s) for s in slices if s is not None]
         return pa.concat_tables(ts).combine_chunks() if ts else None
 
     edge_shard = [_concat_slices.remote(*[r[p] for r in emap]) for p in range(P)]
@@ -340,7 +340,7 @@ def pagerank(
         """Shard-local degree sum, node-sorted, plus 4 ints of identity
         metadata (size, edge count, node CRC, degree CRC) — the only thing
         the driver ever fetches."""
-        ts = [s for s in slices if s is not None and s.num_rows]
+        ts = [_read_source(s) for s in slices if s is not None]
         if not ts:
             empty = pa.table(
                 {"node": pa.array([], node_type), "deg": pa.array([], pa.int64())}

@@ -21,7 +21,7 @@ overhead is O(partitions), not O(groups), while the shuffle volume is
 identical.  The same exchange, with the same reduce batches, carries
 ``group_apply_batches`` (the flagship), the two-input ``cogroup`` that
 every co-shuffle join builds on, and ``combine_by_key``, the keyed sum/min
-behind every aggregate; slices travel as plain Arrow tables.  Stored
+behind every aggregate; slices travel as Arrow IPC stream buffers.  Stored
 bucketed tables (exchanges whose map side ran at write time) ride the same
 reduce batches through ``bucketed_reduce``: bucketed replay,
 ``bucketed_group_apply`` and ``bucketed_join``.  Global
@@ -309,9 +309,10 @@ def _shuffle_map_fn(block, keys, num_partitions, identity=False, combine=None):
     ``combine``, if given, first reduces the block to one row per key
     (:func:`combine_by_key`'s map-side aggregate).
 
-    Slices are zero-copy views; Ray's Arrow serialization trims them to
-    logical bounds on transfer (verified: a 50-row slice of an 11 MB table
-    pickles to ~6 KB), so object-store volume equals data volume."""
+    Slices are zero-copy views of one sorted copy of the block.  This
+    function runs in-process (perfbench's traced pass, tests); the exchange
+    launches :func:`_shuffle_map_ipc`, which ships each slice as one Arrow
+    IPC buffer."""
     block = _arrow_block(block)
     if block.num_rows == 0:
         # joins/filters can emit zero-row blocks with an EMPTY schema —
@@ -345,6 +346,42 @@ def _shuffle_map_fn(block, keys, num_partitions, identity=False, combine=None):
     ]
     out.append(counts)
     return tuple(out)
+
+
+def _ipc_buffer(table: pa.Table) -> pa.Buffer:
+    """``table`` as one uncompressed Arrow IPC stream (only the slice's
+    logical range is written)."""
+    sink = pa.BufferOutputStream()
+    with pa.ipc.new_stream(sink, table.schema) as writer:
+        writer.write_table(table)
+    return sink.getvalue()
+
+
+def _shuffle_map_ipc(block, keys, num_partitions, identity=False,
+                     combine=None):
+    """The exchange's map task: :func:`_shuffle_map_fn`, with each non-empty
+    slice returned as one Arrow IPC stream buffer.  Ray stores a
+    ``pa.Buffer`` as one out-of-band blob, while a ``pa.Table`` goes through
+    its pure-Python Arrow reducer column by column, chunk by chunk (on one
+    CPU, perfbench ``ingest_default``: 0.43 s of storing per call against
+    0.05 s of hashing and slicing; 0.02 s as buffers).  The last return
+    is a ``(2, num_partitions)`` int64 array: rows, then IPC bytes, per
+    partition."""
+    *slices, counts = _shuffle_map_fn(block, keys, num_partitions, identity,
+                                      combine)
+    bufs = [None if s is None else _ipc_buffer(s) for s in slices]
+    nbytes = [0 if b is None else b.size for b in bufs]
+    return (*bufs, np.array([counts, nbytes], dtype=np.int64))
+
+
+def _read_source(src) -> pa.Table:
+    """One reduce input as a table: an exchange slice (an IPC buffer, read
+    zero-copy over the object), a stored bucket file's path, or a table."""
+    if isinstance(src, pa.Buffer):
+        return pa.ipc.open_stream(src).read_all()
+    if isinstance(src, str):
+        return pq.read_table(src).replace_schema_metadata(None)
+    return src
 
 
 #: Rows one reduce task of the direct exchange aims to process.  Consecutive
@@ -392,12 +429,12 @@ def plan_reduce_batches(counts, target_rows=REDUCE_BATCH_ROWS, min_batches=1):
 
 
 def _concat_sort(order, tables, schema=None) -> pa.Table:
-    """One side of one partition's reduce input: its slices from every map
-    task (or a stored bucket file's path, read here), concatenated and
-    sorted once by the full group/order key.  A side with no rows in the
-    partition comes back as ``schema``'s typed empty table."""
-    tables = [pq.read_table(t).replace_schema_metadata(None)
-              if isinstance(t, str) else t for t in tables if t is not None]
+    """One side of one partition's reduce input: its sources (see
+    :func:`_read_source`: map slices, a stored bucket file's path)
+    concatenated and sorted once by the full group/order key.  A side with
+    no rows in the partition comes back as ``schema``'s typed empty
+    table."""
+    tables = [_read_source(t) for t in tables if t is not None]
     tables = [t for t in tables if t.num_rows]
     if not tables and schema is not None:
         return schema.empty_table()
@@ -470,9 +507,14 @@ def _direct_exchange(inputs, keys, batch_fn, *, orders, num_partitions,
     22 s against 44 s, 1,024 over sf0.01 in 5 s against 12 s.  Multi-node
     behaviour at that fan-out has not been measured.
 
-    One :func:`_shuffle_map_fn` task per input block, the counts barrier,
-    then :func:`_reduce_stage`.  Returns ``(refs, map_refs)``: the reduce
-    stage's refs, and the map tasks' refs, one list per input.
+    One :func:`_shuffle_map_ipc` task per input block, the counts barrier,
+    then :func:`_reduce_stage`.  Each map task returns one object per
+    non-empty partition, an Arrow IPC stream buffer, so a reducer pulls only
+    its own partitions' bytes; the reduce tasks decode them zero-copy in
+    :func:`_concat_sort`.  Returns ``(refs, map_refs, exchange_bytes)``: the
+    reduce stage's refs, the map tasks' refs (one list per input), and the
+    IPC bytes of every slice, summed from the counts the driver fetches
+    anyway.
 
     Streaming: map tasks launch as upstream blocks materialize
     (``iter_internal_ref_bundles`` is a streaming iterator); the reduce
@@ -481,7 +523,7 @@ def _direct_exchange(inputs, keys, batch_fn, *, orders, num_partitions,
     """
     import ray as _ray
 
-    map_remote = _ray.remote(num_returns=num_partitions + 1)(_shuffle_map_fn)
+    map_remote = _ray.remote(num_returns=num_partitions + 1)(_shuffle_map_ipc)
     map_refs = [
         [
             map_remote.remote(block_ref, keys, num_partitions, identity, combine)
@@ -492,13 +534,14 @@ def _direct_exchange(inputs, keys, batch_fn, *, orders, num_partitions,
     ]
     all_maps = [r for side in map_refs for r in side]
     if not all_maps:
-        return [], map_refs
-    # counts are tiny (P int64s per map task); fetching them blocks until all
-    # maps finish — which is exactly when reduces become runnable anyway
-    counts = np.sum(_ray.get([r[num_partitions] for r in all_maps]), axis=0)
-    refs = _reduce_stage(map_refs, counts, batch_fn, orders, schemas,
+        return [], map_refs, 0
+    # counts are tiny (2 x P int64s per map task); fetching them blocks until
+    # all maps finish — which is exactly when reduces become runnable anyway
+    rows, nbytes = np.sum(_ray.get([r[num_partitions] for r in all_maps]),
+                          axis=0)
+    refs = _reduce_stage(map_refs, rows, batch_fn, orders, schemas,
                          per_partition_returns)
-    return refs, map_refs
+    return refs, map_refs, int(nbytes.sum())
 
 
 def _reduce_stage(sides, counts, batch_fn, orders, schemas,
@@ -573,21 +616,22 @@ def group_apply_batches(
     *,
     sort_by: Optional[Sequence[str]] = None,
     num_partitions: int = DEFAULT_NUM_PARTITIONS,
-) -> list:
+) -> tuple:
     """Direct hash exchange whose consumer takes whole batches of
     partitions: ``batch_fn([(part_id, table), ...])`` runs once per reduce
     task, each table sorted by ``[*keys, *sort_by]`` exactly as
-    :func:`group_apply` hands it to ``fn``.  Returns the ObjectRefs of the
-    batch outputs (fetch them with ``ray.get``), one per reduce task."""
+    :func:`group_apply` hands it to ``fn``.  Returns ``(refs,
+    exchange_bytes)``: the ObjectRefs of the batch outputs (fetch them with
+    ``ray.get``), one per reduce task, and the bytes the exchange moved."""
     keys = [key] if isinstance(key, str) else list(key)
-    refs, _ = _direct_exchange(
+    refs, _, exchange_bytes = _direct_exchange(
         [ds],
         keys,
         batch_fn,
         orders=[keys + list(sort_by or [])],
         num_partitions=num_partitions,
     )
-    return refs
+    return refs, exchange_bytes
 
 
 def group_apply(
@@ -624,7 +668,7 @@ def group_apply(
     import ray.data as _rd
 
     keys = [key] if isinstance(key, str) else list(key)
-    refs, _ = _direct_exchange(
+    refs, _, _ = _direct_exchange(
         [ds],
         keys,
         partial(_apply_per_partition, fn, pass_part_id),
@@ -704,7 +748,7 @@ def combine_by_key(
     keys = [keys] if isinstance(keys, str) else list(keys)
     aggs = list(aggs)
     combine = partial(_combine, keys, aggs)
-    refs, _ = _direct_exchange(
+    refs, _, _ = _direct_exchange(
         [ds],
         keys,
         partial(_combine_parts, combine),
@@ -915,7 +959,7 @@ def cogroup(
         else:
             schema_r = synth
 
-    refs, map_refs = _direct_exchange(
+    refs, map_refs, _ = _direct_exchange(
         [left, right],
         keys,
         partial(_apply_per_partition, fn, False),

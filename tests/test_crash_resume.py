@@ -530,6 +530,14 @@ def test_bucketed_corpus_replay_matches_direct_run(ray_session, tmp_path):
     for sink in SINKS:
         files = glob.glob(os.path.join(replay_out, sink, "*.parquet"))
         assert len(files) == s2["reduce_tasks"], sink
+    # the run manifest reports the exchange's IPC bytes; replay has none
+    import json
+
+    for out, s in ((direct_out, s1), (replay_out, s2)):
+        with open(os.path.join(out, "_run_manifest.json")) as f:
+            assert json.load(f)["exchange_bytes"] == s["exchange_bytes"]
+    assert s1["exchange_bytes"] > 0
+    assert s2["exchange_bytes"] == 0
 
     import duckdb
 

@@ -425,3 +425,75 @@ def test_cogroup_runs_on_reduce_batches(ray_session, monkeypatch):
     assert sum(len(b) for b in plans[0]) == non_empty
     assert len(plans[0]) < non_empty
     assert out.num_blocks() == non_empty
+
+
+def _exchange_block() -> pa.Table:
+    """One input block with every column kind the exchange must carry
+    unchanged, including a NULL key."""
+    import datetime as dt
+
+    n = 12
+    return pa.table({
+        "k": pa.array([None if i % 5 == 0 else f"c{i % 4}" for i in range(n)]),
+        "n": pa.array([None if i == 3 else i * 10**12 for i in range(n)],
+                      pa.int64()),
+        "ts": pa.array([dt.datetime(2024, 1, 1, 0, 0, i) for i in range(n)],
+                       pa.timestamp("us")),
+        "day": pa.array([dt.date(2024, 1, 1 + i) for i in range(n)],
+                        pa.date32()),
+        "vec": pa.array([None if i == 7 else [float(i)] * (i % 3)
+                         for i in range(n)], pa.list_(pa.float64())),
+        "tags": pa.array([None if i == 2 else [("a", str(i)), ("b", None)]
+                          for i in range(n)],
+                         pa.map_(pa.string(), pa.string())),
+    })
+
+
+def test_exchange_ships_ipc_buffers(ray_session):
+    """The exchange's map task returns every non-empty slice as one Arrow
+    IPC buffer, and the decoded reduce inputs equal the in-process map's
+    tables row for row (Arrow and pandas input blocks)."""
+    import ray
+
+    from hypertrace_ingester_ray.stages import grouping
+
+    P = 5
+    map_remote = ray.remote(num_returns=P + 1)(grouping._shuffle_map_ipc)
+    block = _exchange_block()
+    pdf = block.select(["k", "n", "ts"]).to_pandas()
+    for blk in (block, pdf):
+        local = grouping._shuffle_map_fn(blk, ["k"], P)
+        got = ray.get(list(map_remote.remote(ray.put(blk), ["k"], P)))
+        rows, nbytes = got[P]
+        assert rows.tolist() == local[P].tolist()
+        assert rows.sum() == len(blk)
+        for p in range(P):
+            if local[p] is None:
+                assert got[p] is None and rows[p] == nbytes[p] == 0
+                continue
+            assert isinstance(got[p], pa.Buffer)
+            assert nbytes[p] == got[p].size
+            decoded = grouping._read_source(got[p])
+            assert decoded.schema.equals(local[p].schema)
+            assert decoded.to_pylist() == local[p].to_pylist()
+        # the NULL key forms one group in one partition
+        null_parts = [p for p in range(P) if local[p] is not None
+                      and local[p]["k"].null_count]
+        assert len(null_parts) == 1
+
+
+def test_concat_sort_mixed_sources(tmp_path):
+    """One reduce side may mix an IPC buffer, a bucket file's path and a
+    table."""
+    import pyarrow.parquet as pq
+
+    from hypertrace_ingester_ray.stages import grouping
+
+    block = _exchange_block()
+    a, b, c = block.slice(0, 4), block.slice(4, 4), block.slice(8)
+    path = str(tmp_path / "bucket.parquet")
+    pq.write_table(b, path)
+    got = grouping._concat_sort(
+        ["n"], [grouping._ipc_buffer(a), None, path, c], block.schema
+    )
+    assert got.to_pylist() == block.sort_by("n").to_pylist()
