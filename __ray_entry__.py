@@ -1334,7 +1334,6 @@ def _brand_revenue_auto(sf_dir: str):
     import pyarrow as pa
     import pyarrow.compute as pc
 
-    from hypertrace_ingester_ray.stages.grouping import group_apply
     from hypertrace_ingester_ray.stages.joins import auto_join
 
     li = _rpq(
@@ -1361,21 +1360,19 @@ def _brand_revenue_auto(sf_dir: str):
         right_on=["p_partkey"],
     )
 
-    def _partial(t: pa.Table) -> pa.Table:
-        g = t.group_by(["p_brand"]).aggregate([("rev_cents", "sum"), ([], "count_all")])
-        return g.rename_columns(["p_brand", "revenue_cents", "n_items"])
-
-    def _final(part_t: pa.Table) -> pa.Table:
-        g = part_t.group_by(["p_brand"]).aggregate(
-            [("revenue_cents", "sum"), ("n_items", "sum")]
+    def _items(t: pa.Table) -> pa.Table:
+        return pa.table(
+            {
+                "p_brand": t["p_brand"],
+                "revenue_cents": t["rev_cents"],
+                "n_items": pa.array(np.ones(t.num_rows, np.int64)),
+            }
         )
-        return g.rename_columns(["p_brand", "revenue_cents", "n_items"])
 
-    return group_apply(
-        joined.map_batches(_partial, batch_format="pyarrow"),
+    return combine_by_key(
+        joined.map_batches(_items, batch_format="pyarrow"),
         "p_brand",
-        _final,
-        num_partitions=4,
+        [("revenue_cents", "sum"), ("n_items", "sum")],
     )
 
 
@@ -1392,7 +1389,6 @@ def _events_zorder_scan(sf_dir: str):
     import pyarrow as pa
     import pyarrow.compute as pc
 
-    from hypertrace_ingester_ray.stages.grouping import group_apply
     from hypertrace_ingester_ray.stages.sinks import (
         read_zone_pruned,
         write_zordered,
@@ -1430,26 +1426,24 @@ def _events_zorder_scan(sf_dir: str):
     )
     pruned, _nread, _nskip = read_zone_pruned(base, col="user_id", lo=100, hi=400)
 
-    def _filter_partial(t: pa.Table) -> pa.Table:
+    def _filter(t: pa.Table) -> pa.Table:
         m = pc.and_(
             pc.and_(pc.greater_equal(t["user_id"], 100), pc.less_equal(t["user_id"], 400)),
             pc.and_(pc.greater_equal(t["cents"], 1000), pc.less_equal(t["cents"], 5000)),
         )
         t = t.filter(m)
-        g = t.group_by(["event_type"]).aggregate([("cents", "sum"), ([], "count_all")])
-        return g.rename_columns(["event_type", "cents_sum", "n_events"])
-
-    def _final(part: pa.Table) -> pa.Table:
-        g = part.group_by(["event_type"]).aggregate(
-            [("cents_sum", "sum"), ("n_events", "sum")]
+        return pa.table(
+            {
+                "event_type": t["event_type"],
+                "cents_sum": t["cents"],
+                "n_events": pa.array(np.ones(t.num_rows, np.int64)),
+            }
         )
-        return g.rename_columns(["event_type", "cents_sum", "n_events"])
 
-    return group_apply(
-        pruned.map_batches(_filter_partial, batch_format="pyarrow"),
+    return combine_by_key(
+        pruned.map_batches(_filter, batch_format="pyarrow"),
         "event_type",
-        _final,
-        num_partitions=4,
+        [("cents_sum", "sum"), ("n_events", "sum")],
     )
 
 
@@ -1599,7 +1593,6 @@ def _smb_segment_revenue(sf_dir: str):
     import pyarrow as pa
     import pyarrow.compute as pc
 
-    from hypertrace_ingester_ray.stages.grouping import group_apply
     from hypertrace_ingester_ray.stages.sinks import (
         bucketed_join,
         write_bucketed,
@@ -1645,23 +1638,19 @@ def _smb_segment_revenue(sf_dir: str):
         os.path.join(base, "customer"), os.path.join(base, "orders"), how="inner"
     )
 
-    def _partial(t: pa.Table) -> pa.Table:
-        g = t.group_by(["c_mktsegment"]).aggregate(
-            [("cents", "sum"), ([], "count_all")]
+    def _orders(t: pa.Table) -> pa.Table:
+        return pa.table(
+            {
+                "c_mktsegment": t["c_mktsegment"],
+                "revenue_cents": t["cents"],
+                "n_orders": pa.array(np.ones(t.num_rows, np.int64)),
+            }
         )
-        return g.rename_columns(["c_mktsegment", "revenue_cents", "n_orders"])
 
-    def _final(part: pa.Table) -> pa.Table:
-        g = part.group_by(["c_mktsegment"]).aggregate(
-            [("revenue_cents", "sum"), ("n_orders", "sum")]
-        )
-        return g.rename_columns(["c_mktsegment", "revenue_cents", "n_orders"])
-
-    return group_apply(
-        joined.map_batches(_partial, batch_format="pyarrow"),
+    return combine_by_key(
+        joined.map_batches(_orders, batch_format="pyarrow"),
         "c_mktsegment",
-        _final,
-        num_partitions=4,
+        [("revenue_cents", "sum"), ("n_orders", "sum")],
     )
 
 
@@ -2137,7 +2126,6 @@ def _events_grouping_sets(sf_dir: str):
         dims=["event_type", "day"],
         sets=[["event_type"], ["day"], []],
         sum_col="cents",
-        num_partitions=16,
     )
 
 
@@ -2206,7 +2194,6 @@ def _events_cube(sf_dir: str):
         ds.map_batches(_prep, batch_format="pyarrow"),
         dims=["event_type", "hour_us"],
         sum_col="cents",
-        num_partitions=16,
     )
 
     def _fin(t: pa.Table) -> pa.Table:
@@ -3127,7 +3114,6 @@ def _docs_rollup(sf_dir: str):
         _docs(sf_dir).select_columns(["lang", "source", "n_chars"]),
         dims=["lang", "source"],
         sum_col="n_chars",
-        num_partitions=8,
     )
 
 
@@ -3257,7 +3243,6 @@ def _events_pivot_hour(sf_dir: str):
         row_key="hour_us",
         col_key="event_type",
         categories=["click", "view", "purchase", "signup", "error"],
-        num_partitions=16,
     )
 
     def _fin(t: pa.Table) -> pa.Table:

@@ -10,16 +10,22 @@ per trace).  Here the same semantics are generic, reusable operators:
 - :func:`window_functions` — lag / lead / cumulative-sum / row_number over
   key-groups ordered by a column, vectorized with the segmented kernels from
   ``stages/grouping.py`` (one hash exchange, zero Python loops over rows).
-- :func:`pivot_counts` — long→wide conditional counting (partial per-batch
-  combine, then one small exchange on the row key).
+- :func:`pivot_counts` — long→wide conditional counting: 0/1 indicator
+  columns summed by ``grouping.combine_by_key``.
+- :func:`grouping_sets_counts` — GROUP BY GROUPING SETS; :func:`rollup_counts`
+  (the prefix sets) and :func:`cube_counts` (all 2^k sets) are set lists
+  for it.  One ``combine_by_key`` builds the finest-level combination
+  table; the driver folds each set from it.
 - :func:`distinct_count` — exact COUNT(DISTINCT value) per key with batch-side
   pre-dedup so only unique (key, value) pairs cross the shuffle.
 
-Scale notes: every operator pre-aggregates inside ``map_batches`` before its
-single hash exchange; the exchange payload is the projection of the needed
-columns only.  Skewed keys in ``window_functions`` land a whole key-group on
-one partition (same constraint as any per-group ordered walk) — cap group
-size upstream (grouping.py max-turns guard) if a key can be pathological.
+Scale notes: every operator pre-aggregates per block before its hash
+exchange — keyed sums and mins through ``combine_by_key``, which combines
+inside the exchange's map task; the exchange payload is the projection of
+the needed columns only.  Skewed keys in ``window_functions`` land a whole
+key-group on one partition (same constraint as any per-group ordered walk)
+— cap group size upstream (grouping.py max-turns guard) if a key can be
+pathological.
 """
 
 from __future__ import annotations
@@ -34,10 +40,10 @@ from ray.data import Dataset
 
 from .grouping import (
     DEFAULT_NUM_PARTITIONS,
+    _combine,
     combine_by_key,
     group_apply,
     run_boundaries,
-    segmented_sum,
 )
 
 __all__ = [
@@ -311,42 +317,33 @@ def pivot_counts(
     row_key: str,
     col_key: str,
     categories: Sequence[str],
-    num_partitions: int = DEFAULT_NUM_PARTITIONS,
 ) -> Dataset:
     """Long→wide conditional count: one output row per ``row_key`` with one
     ``<category>_cnt`` int64 column per category (rows whose ``col_key`` is
-    outside ``categories`` are ignored).
+    NULL or outside ``categories`` count 0, like SQL's ``SUM(CASE WHEN …
+    THEN 1 ELSE 0 END)``).
 
-    Partial combine runs per batch (so the exchange moves one row per
-    (row_key, batch), not per input row) followed by one hash exchange.
+    One 0/1 column per category, summed per ``row_key`` by
+    :func:`~.grouping.combine_by_key` (so the exchange moves one row per
+    (row_key, block), not per input row).
     """
     categories = list(categories)
     cnt_cols = [f"{c}_cnt" for c in categories]
 
-    def _partial(batch: pa.Table) -> pa.Table:
+    def _indicators(batch: pa.Table) -> pa.Table:
         ck = batch[col_key]
         cols = {row_key: batch[row_key]}
         for cat, out_name in zip(categories, cnt_cols):
-            cols[out_name] = pc.cast(pc.equal(ck, cat), pa.int64())
-        tmp = pa.table(cols)
-        agg = tmp.group_by([row_key]).aggregate(
-            [(c, "sum") for c in cnt_cols]
-        )
-        return agg.rename_columns([row_key] + cnt_cols)
-
-    def _final(part: pa.Table) -> pa.Table:
-        bounds = run_boundaries(*_np_cols(part, [row_key]))
-        firsts = bounds[:-1]
-        out = {row_key: part[row_key].take(pa.array(firsts))}
-        for c in cnt_cols:
-            sums = segmented_sum(
-                part[c].to_numpy(zero_copy_only=False).astype(np.int64), bounds
+            cols[out_name] = pc.cast(
+                pc.fill_null(pc.equal(ck, cat), False), pa.int64()
             )
-            out[c] = pa.array(np.asarray(sums, dtype=np.int64))
-        return pa.table(out)
+        return pa.table(cols)
 
-    partials = ds.map_batches(_partial, batch_format="pyarrow")
-    return group_apply(partials, row_key, _final, num_partitions=num_partitions)
+    return combine_by_key(
+        ds.map_batches(_indicators, batch_format="pyarrow"),
+        row_key,
+        [(c, "sum") for c in cnt_cols],
+    )
 
 
 def distinct_rows(
@@ -355,8 +352,8 @@ def distinct_rows(
     *,
     num_partitions: int = DEFAULT_NUM_PARTITIONS,
 ) -> Dataset:
-    """Exact ``SELECT DISTINCT col1, col2, ...`` (generalizes
-    ``graph.distinct_edges`` to any column set).
+    """Exact ``SELECT DISTINCT col1, col2, ...`` (the graph operators'
+    edge dedup on ``[src, dst]``).
 
     Batch-local dedup first (pyarrow ``group_by`` with no aggregates) so only
     unique tuples per read block cross the ONE hash exchange; inside each
@@ -364,7 +361,9 @@ def distinct_rows(
     of every run.  Nulls form their own group (SQL DISTINCT semantics).
     Shuffle payload is bounded by the number of distinct tuples, not the row
     count — the right shape for low-cardinality projections of a 100-TB
-    table.
+    table.  It stays on :func:`~.grouping.group_apply`, not
+    ``combine_by_key``: its output can be as large as its input, and
+    ``num_partitions`` lets the reduce side grow with it.
     """
     keys = [cols] if isinstance(cols, str) else list(cols)
 
@@ -543,77 +542,18 @@ def rollup_counts(
     *,
     dims: Sequence[str],
     sum_col: Optional[str] = None,
-    num_partitions: int = DEFAULT_NUM_PARTITIONS,
 ) -> Dataset:
     """``GROUP BY ROLLUP(*dims)``: counts (and optionally an integer sum)
     at every prefix level, rolled-up dimensions emitted as NULL — the SQL
-    rollup contract.
-
-    Scale shape: per-batch partial aggregation at the finest level first, so
-    the single exchange (hash-partitioned on ``dims[0]``) moves one row per
-    distinct dim-combination per block.  All prefix levels that include
-    ``dims[0]`` are computed inside the partition (every row of a given
-    dims[0] value is co-located); the grand-total level is folded from the
-    level-1 rows, which are bounded by the cardinality of ``dims[0]`` —
-    driver state is dimension-sized, never row-sized.
-    """
+    rollup contract.  :func:`grouping_sets_counts` over the prefixes
+    ``dims[:d]``, d = k…0."""
     dims = list(dims)
-    n_col, s_col = "n_rows", f"sum_{sum_col}" if sum_col else None
-
-    def _partial(batch: pa.Table) -> pa.Table:
-        cols = dims + ([sum_col] if sum_col else [])
-        t = batch.select(cols)
-        t = t.append_column("__one", pa.array(np.ones(t.num_rows, np.int64)))
-        aggs = [("__one", "sum")] + ([(sum_col, "sum")] if sum_col else [])
-        agg = t.group_by(dims).aggregate(aggs)
-        names = dims + [n_col] + ([s_col] if sum_col else [])
-        return agg.select(
-            dims + ["__one_sum"] + ([f"{sum_col}_sum"] if sum_col else [])
-        ).rename_columns(names)
-
-    def _levels(part: pa.Table) -> pa.Table:
-        outs = []
-        metric_aggs = [(n_col, "sum")] + ([(s_col, "sum")] if sum_col else [])
-        metric_names = [n_col] + ([s_col] if sum_col else [])
-        for depth in range(len(dims), 0, -1):
-            g = dims[:depth]
-            agg = part.group_by(g).aggregate(metric_aggs)
-            agg = agg.select(
-                g + [f"{c}_sum" for c in metric_names]
-            ).rename_columns(g + metric_names)
-            for d in dims[depth:]:
-                agg = agg.append_column(
-                    d, pa.nulls(agg.num_rows, part.schema.field(d).type)
-                )
-            outs.append(agg.select(dims + metric_names))
-        return pa.concat_tables(outs)
-
-    partials = ds.map_batches(_partial, batch_format="pyarrow")
-    # materialize is safe here: the rolled rows are bounded by the number of
-    # distinct dim-combinations (plus prefixes), never by input rows
-    rolled = group_apply(
-        partials, dims[0], _levels, num_partitions=num_partitions
-    ).materialize()
-
-    # grand-total level folded from the level-1 rows (one per distinct
-    # dims[0] value — dimension-sized driver state, like length_quantiles)
-    import ray as _ray
-    import ray.data as _rd
-
-    tables = [t for t in _ray.get(rolled.to_arrow_refs()) if t.num_rows]
-    if not tables:
-        return rolled
-    allrows = pa.concat_tables(tables)
-    mask = None
-    for d in dims[1:]:
-        m = pc.is_null(allrows[d])
-        mask = m if mask is None else pc.and_(mask, m)
-    lvl1 = allrows.filter(mask) if mask is not None else allrows
-    cols = {d: pa.nulls(1, allrows.schema.field(d).type) for d in dims}
-    cols[n_col] = pa.array([pc.sum(lvl1[n_col]).as_py() or 0], pa.int64())
-    if sum_col:
-        cols[s_col] = pa.array([pc.sum(lvl1[s_col]).as_py() or 0], pa.int64())
-    return rolled.union(_rd.from_arrow(pa.table(cols)))
+    return grouping_sets_counts(
+        ds,
+        dims=dims,
+        sets=[dims[:d] for d in range(len(dims), -1, -1)],
+        sum_col=sum_col,
+    )
 
 
 def cube_counts(
@@ -621,89 +561,28 @@ def cube_counts(
     *,
     dims: Sequence[str],
     sum_col: Optional[str] = None,
-    num_partitions: int = DEFAULT_NUM_PARTITIONS,
 ) -> Dataset:
     """``GROUP BY CUBE(*dims)``: counts (and optionally an integer sum) at
     EVERY subset of the dimensions (2^k grouping sets), excluded dimensions
-    emitted as NULL — the SQL cube contract.  Complements
-    :func:`rollup_counts` (prefix levels only).
-
-    Scale shape: the row-sized work is ONE distributed pass — per-batch
-    partial aggregation at the finest level, then one exchange keyed on
-    ``dims[0]`` — producing the distinct-combination table.  All 2^k
-    grouping sets are then folded from that table, which is bounded by the
-    product of dimension cardinalities (NOT by input rows); the fold runs on
-    the driver exactly like :func:`rollup_counts`' grand-total level and
-    carries the same contract.  ``len(dims) > 4`` raises (16+ grouping sets
-    over a high-cardinality cube wants an explicit composition instead).
+    emitted as NULL — the SQL cube contract.  :func:`grouping_sets_counts`
+    over all 2^k subsets; ``len(dims) > 4`` raises (16+ grouping sets over
+    a high-cardinality cube wants an explicit composition instead).
     """
     dims = list(dims)
     if len(dims) > 4:
         raise ValueError(
             "cube_counts supports at most 4 dims (2^k grouping sets); "
-            "compose rollup_counts / group_apply explicitly beyond that"
+            "compose grouping_sets_counts explicitly beyond that"
         )
-    n_col, s_col = "n_rows", f"sum_{sum_col}" if sum_col else None
-    metric_names = [n_col] + ([s_col] if sum_col else [])
-
-    def _partial(batch: pa.Table) -> pa.Table:
-        cols = dims + ([sum_col] if sum_col else [])
-        t = batch.select(cols)
-        t = t.append_column("__one", pa.array(np.ones(t.num_rows, np.int64)))
-        aggs = [("__one", "sum")] + ([(sum_col, "sum")] if sum_col else [])
-        agg = t.group_by(dims).aggregate(aggs)
-        return agg.select(
-            dims + ["__one_sum"] + ([f"{sum_col}_sum"] if sum_col else [])
-        ).rename_columns(dims + metric_names)
-
-    def _final(part: pa.Table) -> pa.Table:
-        agg = part.group_by(dims).aggregate(
-            [(c, "sum") for c in metric_names]
-        )
-        return agg.select(
-            dims + [f"{c}_sum" for c in metric_names]
-        ).rename_columns(dims + metric_names)
-
-    combos = group_apply(
-        ds.map_batches(_partial, batch_format="pyarrow"),
-        dims[0],
-        _final,
-        num_partitions=num_partitions,
-    ).materialize()
-
-    import ray as _ray
-    import ray.data as _rd
-
-    tables = [t for t in _ray.get(combos.to_arrow_refs()) if t.num_rows]
-    if not tables:
-        return combos
-    allrows = pa.concat_tables(tables)  # distinct-combination-sized
-    outs = []
-    for mask in range(1 << len(dims)):
-        keep = [d for i, d in enumerate(dims) if mask & (1 << i)]
-        if keep:
-            agg = allrows.group_by(keep).aggregate(
-                [(c, "sum") for c in metric_names]
-            )
-            agg = agg.select(
-                keep + [f"{c}_sum" for c in metric_names]
-            ).rename_columns(keep + metric_names)
-        else:
-            agg = pa.table(
-                {
-                    c: pa.array(
-                        [pc.sum(allrows[c]).as_py() or 0], pa.int64()
-                    )
-                    for c in metric_names
-                }
-            )
-        for d in dims:
-            if d not in keep:
-                agg = agg.append_column(
-                    d, pa.nulls(agg.num_rows, allrows.schema.field(d).type)
-                )
-        outs.append(agg.select(dims + metric_names))
-    return _rd.from_arrow(pa.concat_tables(outs))
+    return grouping_sets_counts(
+        ds,
+        dims=dims,
+        sets=[
+            [d for i, d in enumerate(dims) if mask & (1 << i)]
+            for mask in range(1 << len(dims))
+        ],
+        sum_col=sum_col,
+    )
 
 
 def grouping_sets_counts(
@@ -712,78 +591,46 @@ def grouping_sets_counts(
     dims: Sequence[str],
     sets: Sequence[Sequence[str]],
     sum_col: Optional[str] = None,
-    num_partitions: int = DEFAULT_NUM_PARTITIONS,
 ) -> Dataset:
     """``GROUP BY GROUPING SETS (...)``: counts (and optionally an integer
     sum) at exactly the REQUESTED subsets of ``dims`` — the general form of
     :func:`rollup_counts` (prefix sets) and :func:`cube_counts` (all 2^k
     sets).  Excluded dimensions are emitted as NULL per the SQL contract.
 
-    Scale shape is identical to :func:`cube_counts`: ONE distributed pass
-    builds the distinct finest-level combination table (per-batch partial
-    agg + one exchange on ``dims[0]``); each requested set is then folded
-    from that table, which is bounded by the product of dimension
-    cardinalities, never by input rows.
+    Scale shape: ONE distributed pass — :func:`~.grouping.combine_by_key`
+    on ``dims`` — builds the distinct finest-level combination table; each
+    requested set is then folded from that table on the driver.  It is
+    bounded by the product of dimension cardinalities, never by input rows.
     """
+    import ray as _ray
+    import ray.data as _rd
+
     dims = list(dims)
     sets = [list(s) for s in sets]
     for s in sets:
         unknown = set(s) - set(dims)
         if unknown:
             raise ValueError(f"grouping set {s} has columns not in dims: {unknown}")
-    n_col, s_col = "n_rows", f"sum_{sum_col}" if sum_col else None
-    metric_names = [n_col] + ([s_col] if sum_col else [])
+    metric_names = ["n_rows"] + ([f"sum_{sum_col}"] if sum_col else [])
+    metric_aggs = [(c, "sum") for c in metric_names]
 
-    def _partial(batch: pa.Table) -> pa.Table:
-        cols = dims + ([sum_col] if sum_col else [])
-        t = batch.select(cols)
-        t = t.append_column("__one", pa.array(np.ones(t.num_rows, np.int64)))
-        aggs = [("__one", "sum")] + ([(sum_col, "sum")] if sum_col else [])
-        agg = t.group_by(dims).aggregate(aggs)
-        return agg.select(
-            dims + ["__one_sum"] + ([f"{sum_col}_sum"] if sum_col else [])
-        ).rename_columns(dims + metric_names)
+    def _project(batch: pa.Table) -> pa.Table:
+        cols = {d: batch[d] for d in dims}
+        cols["n_rows"] = pa.array(np.ones(batch.num_rows, np.int64))
+        if sum_col:
+            cols[f"sum_{sum_col}"] = batch[sum_col]
+        return pa.table(cols)
 
-    def _final(part: pa.Table) -> pa.Table:
-        agg = part.group_by(dims).aggregate(
-            [(c, "sum") for c in metric_names]
-        )
-        return agg.select(
-            dims + [f"{c}_sum" for c in metric_names]
-        ).rename_columns(dims + metric_names)
-
-    combos = group_apply(
-        ds.map_batches(_partial, batch_format="pyarrow"),
-        dims[0],
-        _final,
-        num_partitions=num_partitions,
-    ).materialize()
-
-    import ray as _ray
-    import ray.data as _rd
-
+    combos = combine_by_key(
+        ds.map_batches(_project, batch_format="pyarrow"), dims, metric_aggs
+    )
     tables = [t for t in _ray.get(combos.to_arrow_refs()) if t.num_rows]
     if not tables:
         return combos
     allrows = pa.concat_tables(tables)  # distinct-combination-sized
     outs = []
     for keep in sets:
-        if keep:
-            agg = allrows.group_by(keep).aggregate(
-                [(c, "sum") for c in metric_names]
-            )
-            agg = agg.select(
-                keep + [f"{c}_sum" for c in metric_names]
-            ).rename_columns(keep + metric_names)
-        else:
-            agg = pa.table(
-                {
-                    c: pa.array(
-                        [pc.sum(allrows[c]).as_py() or 0], pa.int64()
-                    )
-                    for c in metric_names
-                }
-            )
+        agg = _combine(keep, metric_aggs, allrows)  # keep == []: one row
         for d in dims:
             if d not in keep:
                 agg = agg.append_column(
@@ -1153,20 +1000,23 @@ def retention(
 
     Two narrow exchanges: (1) hash-exchange on ``key`` — per key the first
     row (ts-sorted) fixes the cohort day and a shifted-compare dedups the
-    (key, offset) pairs, so only distinct pairs leave the partition;
-    (2) a tiny count exchange on (cohort_day, day_offset) — bounded by
-    cohorts x window, not by events — with per-batch partial counts so the
-    second shuffle moves pre-aggregated rows only.
+    (key, offset) pairs, so only distinct pairs leave the partition, each
+    with a count of 1; (2) :func:`~.grouping.combine_by_key` sums them on
+    (cohort_day, day_offset) — bounded by cohorts x window, not by events.
+    ``num_partitions`` sizes the first exchange only.
     """
+
+    pair_schema = pa.schema(
+        [
+            ("cohort_day", pa.timestamp("us")),
+            ("day_offset", pa.int64()),
+            ("n_users", pa.int64()),
+        ]
+    )
 
     def _pairs(part: pa.Table) -> pa.Table:
         if part.num_rows == 0:
-            return pa.table(
-                {
-                    "cohort_day": pa.array([], pa.int64()),
-                    "day_offset": pa.array([], pa.int64()),
-                }
-            )
+            return pair_schema.empty_table()
         bounds = run_boundaries(*_np_cols(part, [key]))
         seg = np.repeat(
             np.arange(len(bounds) - 1, dtype=np.int64), np.diff(bounds)
@@ -1185,42 +1035,21 @@ def retention(
         keep[1:] = (seg[1:] != seg[:-1]) | (offset[1:] != offset[:-1])
         idx = np.flatnonzero(keep)
         return pa.table(
-            {"cohort_day": cohort[seg[idx]], "day_offset": offset[idx]}
+            {
+                "cohort_day": pa.array(cohort[seg[idx]] * DAY_US).cast(
+                    pa.timestamp("us")
+                ),
+                "day_offset": offset[idx],
+                "n_users": np.ones(len(idx), np.int64),
+            },
+            schema=pair_schema,
         )
 
     pairs = group_apply(
         ds, key, _pairs, sort_by=[ts_col], num_partitions=num_partitions
     )
-
-    def _partial(batch: pa.Table) -> pa.Table:
-        batch = batch.append_column(
-            "n_users", pa.array(np.ones(batch.num_rows, dtype=np.int64))
-        )
-        return batch.group_by(["cohort_day", "day_offset"]).aggregate(
-            [("n_users", "sum")]
-        )
-
-    def _final(part: pa.Table) -> pa.Table:
-        agg = part.group_by(["cohort_day", "day_offset"]).aggregate(
-            [("n_users_sum", "sum")]
-        )
-        return pa.table(
-            {
-                "cohort_day": pc.cast(
-                    pc.multiply(agg["cohort_day"], pa.scalar(DAY_US)),
-                    pa.timestamp("us"),
-                ),
-                "day_offset": agg["day_offset"],
-                "n_users": agg["n_users_sum_sum"],
-            }
-        )
-
-    partials = pairs.map_batches(_partial, batch_format="pyarrow")
-    return group_apply(
-        partials,
-        ["cohort_day", "day_offset"],
-        _final,
-        num_partitions=min(8, num_partitions),
+    return combine_by_key(
+        pairs, ["cohort_day", "day_offset"], [("n_users", "sum")]
     )
 
 
@@ -1500,9 +1329,10 @@ def attribution(
     One hash exchange on the user key; per partition the touch windows are
     located with two ``searchsorted`` calls over a rank-compressed composite
     key (the ``range_join`` machinery), first/last picks are O(conversions),
-    and only the linear model pays the output-sized ragged expansion.
-    Output: ``channel, first_touch, last_touch, linear_micros`` (one row per
-    touch channel).
+    and only the linear model pays the output-sized ragged expansion.  The
+    per-partition channel totals are summed by
+    :func:`~.grouping.combine_by_key`.  Output: ``channel, first_touch,
+    last_touch, linear_micros`` (one row per touch channel).
     """
     touch_set = set(touch_types)
 
@@ -1602,11 +1432,6 @@ def attribution(
             }
         )
 
-    def _combine(part: pa.Table) -> pa.Table:
-        return part.group_by("channel").aggregate(
-            [("first_touch", "sum"), ("last_touch", "sum"), ("linear_micros", "sum")]
-        ).rename_columns(["channel", "first_touch", "last_touch", "linear_micros"])
-
     projected = ds.select_columns([user_col, ts_col, type_col, id_col])
     partials = group_apply(
         projected,
@@ -1616,7 +1441,11 @@ def attribution(
         num_partitions=num_partitions,
     )
     # tiny: channels x partitions rows
-    return group_apply(partials, "channel", _combine, num_partitions=1)
+    return combine_by_key(
+        partials,
+        "channel",
+        [("first_touch", "sum"), ("last_touch", "sum"), ("linear_micros", "sum")],
+    )
 
 
 def winsorize(

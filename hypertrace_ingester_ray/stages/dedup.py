@@ -1131,7 +1131,6 @@ def winnow_fingerprints(
     id_col: str = "doc_id",
     k: int = 20,
     w: int = 10,
-    num_partitions: int = 16,
 ) -> Dataset:
     """Winnowing document fingerprints (Schleimer, Wilkerson & Aiken,
     "Winnowing: Local Algorithms for Document Fingerprinting", SIGMOD'03):
@@ -1198,12 +1197,7 @@ def winnow_overlap_pairs(
     counts: detects every clone of length ≥ ``w + k - 1`` chars at ~2/(w+1)
     of :func:`substring_overlap_pairs`' index size."""
     rows = winnow_fingerprints(
-        ds,
-        text_col=text_col,
-        id_col=id_col,
-        k=k,
-        w=w,
-        num_partitions=num_partitions,
+        ds, text_col=text_col, id_col=id_col, k=k, w=w
     ).map_batches(
         lambda t: t.select(["fp", "doc_id"]), batch_format="pyarrow"
     )

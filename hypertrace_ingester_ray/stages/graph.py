@@ -13,8 +13,10 @@ distributed and only node-sized state crosses to the driver.
   ``rank // out_degree``, damping as ``(pct * m) // 100``), so the result
   is bit-reproducible across partitionings AND mirrorable in SQL with
   plain integer division — no float drift between engines.
-- :func:`distinct_edges` — exact edge dedup (batch-local pre-dedup, one
-  hash exchange).
+- :func:`triangle_count` — exact global triangle count (wedge check).
+- :func:`bfs_hops` — minimum hop distances from a seed set (BFS).
+
+Edge dedup is :func:`~.analytics.distinct_rows` on ``[src, dst]``.
 
 Partitioning assumptions (documented per the 100-TB contract):
 - the EDGE list is unbounded (hash-exchanged once into shards,
@@ -32,7 +34,8 @@ Related: connected components (BSP min-label propagation) lives in
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from functools import partial
+from typing import Optional
 
 import numpy as np
 import pyarrow as pa
@@ -41,9 +44,16 @@ import pyarrow.compute as pc
 import ray
 from ray.data import Dataset
 
-from .grouping import DEFAULT_NUM_PARTITIONS, group_apply, run_boundaries
+from .analytics import distinct_rows
+from .grouping import (
+    DEFAULT_NUM_PARTITIONS,
+    _combine,
+    _read_source,
+    _shuffle_map_ipc,
+    run_boundaries,
+)
 
-__all__ = ["distinct_edges", "pagerank", "bfs_hops"]
+__all__ = ["pagerank", "bfs_hops"]
 
 
 def _ckpt_meta_guard(checkpoint_dir: str, meta: dict, loose: tuple = ()) -> None:
@@ -145,70 +155,23 @@ def _node_fingerprint(ds: Dataset, col: str) -> list:
     return [n, fp]
 
 
-def distinct_edges(
-    ds: Dataset,
-    *,
-    src: str = "src",
-    dst: str = "dst",
-    num_partitions: int = DEFAULT_NUM_PARTITIONS,
-) -> Dataset:
-    """Exact DISTINCT on (src, dst): batch-local dedup first so only unique
-    pairs per block cross the one hash exchange."""
-
-    def _local(batch: pa.Table) -> pa.Table:
-        return batch.select([src, dst]).group_by([src, dst]).aggregate([])
-
-    def _first(part: pa.Table) -> pa.Table:
-        if part.num_rows == 0:
-            return part
-        a = part[src].to_numpy(zero_copy_only=False)
-        b = part[dst].to_numpy(zero_copy_only=False)
-        firsts = run_boundaries(a, b)[:-1]
-        return part.take(pa.array(firsts))
-
-    return group_apply(
-        ds.map_batches(_local, batch_format="pyarrow"),
-        [src, dst],
-        _first,
-        num_partitions=num_partitions,
-    )
-
-
 def _pr_emit_fn(edges_tbl, state_tbl, src, dst, num_partitions):
     """BSP map side of one PageRank iteration: per-edge contributions from
-    the co-partitioned state shard (one ``searchsorted``), pre-aggregated
-    per dst, split into dst-hash slices — the keyed exchange feeding the
-    apply side.  Never touches the driver."""
-    from .grouping import PART_COL, add_part_column
-
-    P = num_partitions
-    if (
-        edges_tbl is None
-        or edges_tbl.num_rows == 0
-        or state_tbl is None
-        or state_tbl.num_rows == 0
-    ):
-        return tuple([None] * P)
-    ns = state_tbl["node"].to_numpy(zero_copy_only=False)
-    deg = state_tbl["deg"].to_numpy(zero_copy_only=False)
-    rank = state_tbl["rank"].to_numpy(zero_copy_only=False)
-    contrib = np.where(deg > 0, rank // np.maximum(deg, 1), 0)
-    s_idx = np.searchsorted(ns, edges_tbl[src].to_numpy(zero_copy_only=False))
-    g = (
-        pa.table({"dst": edges_tbl[dst], "m": pa.array(contrib[s_idx])})
-        .group_by("dst")
-        .aggregate([("m", "sum")])
-    )
-    t = add_part_column(
-        pa.table({"dst": g["dst"], "m": g["m_sum"]}), "dst", P
-    )
-    part = t[PART_COL].to_numpy(zero_copy_only=False)
-    order = np.argsort(part, kind="stable")
-    st = t.take(pa.array(order))
-    bounds = np.searchsorted(part[order], np.arange(P + 1))
-    return tuple(
-        st.slice(lo, hi - lo).drop_columns([PART_COL]) if hi > lo else None
-        for lo, hi in zip(bounds[:-1], bounds[1:])
+    the co-partitioned state shard (one ``searchsorted``), summed per dst
+    and split into dst-hash slices by the exchange's map task
+    (:func:`~.grouping._shuffle_map_ipc`: IPC buffers, then the counts) —
+    the keyed exchange feeding the apply side.  Never touches the
+    driver."""
+    t = pa.table({})  # no rows: every slice is empty
+    if edges_tbl is not None and edges_tbl.num_rows and state_tbl.num_rows:
+        ns = state_tbl["node"].to_numpy(zero_copy_only=False)
+        deg = state_tbl["deg"].to_numpy(zero_copy_only=False)
+        rank = state_tbl["rank"].to_numpy(zero_copy_only=False)
+        contrib = np.where(deg > 0, rank // np.maximum(deg, 1), 0)
+        s_idx = np.searchsorted(ns, edges_tbl[src].to_numpy(zero_copy_only=False))
+        t = pa.table({"dst": edges_tbl[dst], "m": pa.array(contrib[s_idx])})
+    return _shuffle_map_ipc(
+        t, ["dst"], num_partitions, combine=partial(_combine, ["dst"], [("m", "sum")])
     )
 
 
@@ -260,9 +223,7 @@ def pagerank(
     volume.
     """
     if dedup:
-        edges = distinct_edges(
-            ds=edges, src=src, dst=dst, num_partitions=num_partitions
-        )
+        edges = distinct_rows(edges, [src, dst], num_partitions=num_partitions)
     edges = edges.select_columns([src, dst]).materialize()
 
     import os as _os
@@ -270,10 +231,8 @@ def pagerank(
 
     import pyarrow.parquet as _pq
 
-    from .grouping import _read_source, _shuffle_map_ipc
-
-    # num_returns=P needs P >= 2 to get a tuple back; 1-partition pagerank
-    # is degenerate anyway
+    # at least 2 shards (1-partition pagerank is degenerate); the shard
+    # count is part of a checkpoint's identity
     P = max(2, int(num_partitions))
 
     sch = edges.schema()
@@ -439,15 +398,16 @@ def pagerank(
         for p in range(P)
     ]
 
-    emit_remote = ray.remote(num_returns=P)(_pr_emit_fn)
+    emit_remote = ray.remote(num_returns=P + 1)(_pr_emit_fn)
 
     @ray.remote
     def _apply(state_tbl, *parts):
         ns = state_tbl["node"].to_numpy(zero_copy_only=False)
         m = np.zeros(len(ns), np.int64)
         for pt in parts:
-            if pt is None or pt.num_rows == 0:
+            if pt is None:
                 continue
+            pt = _read_source(pt)
             di = np.searchsorted(ns, pt["dst"].to_numpy(zero_copy_only=False))
             np.add.at(
                 m, di, pt["m"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -498,7 +458,8 @@ def triangle_count(
     classic MapReduce wedge-check algorithm, fully composed from this
     repo's own primitives:
 
-    1. canonicalize + dedup edges (u < v) — :func:`distinct_edges` shape;
+    1. canonicalize + dedup edges (u < v) with
+       :func:`~.analytics.distinct_rows`;
     2. WEDGES: for every center node, all unordered neighbor pairs with
        their multiplicity = common-neighbor count, via
        :func:`~.analytics.cooccurrence_counts` (ragged pair expansion, one
@@ -526,10 +487,9 @@ def triangle_count(
             {"u": pa.array(np.minimum(a, b)), "v": pa.array(np.maximum(a, b))}
         )
 
-    canon = distinct_edges(
+    canon = distinct_rows(
         edges.map_batches(_canon, batch_format="pyarrow"),
-        src="u",
-        dst="v",
+        ["u", "v"],
         num_partitions=num_partitions,
     )
 
@@ -610,7 +570,6 @@ def bfs_hops(
     import ray as _ray
     import ray.data as _rd
 
-    from .analytics import distinct_rows
     from .joins import cogroup_join
 
     node_schema = pa.schema([("node", pa.int64())])

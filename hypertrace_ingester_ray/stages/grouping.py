@@ -686,9 +686,11 @@ def group_apply(
 # keyed aggregates and global top-k on the direct exchange
 # ---------------------------------------------------------------------------
 
-#: Hash partitions of :func:`combine_by_key`'s exchange.  Its input is one
-#: pre-combined table per block, so reduce batching (not this number) sets
-#: how many merge tasks run.
+#: Hash partitions of :func:`combine_by_key`'s exchange, and so the most
+#: merge tasks it can run: reduce batching only merges partitions into
+#: fewer tasks.  Enough for dimension-sized outputs; an aggregate whose
+#: output can be as large as its input (``analytics.distinct_rows``) stays
+#: on :func:`group_apply`, whose partition count scales with the data.
 COMBINE_PARTITIONS = 16
 
 

@@ -84,8 +84,7 @@ def test_pivot_counts(long_table, ray_session):
     ds, pdf = long_table
     out = (
         analytics.pivot_counts(
-            ds, row_key="k", col_key="cat", categories=["a", "b", "c"],
-            num_partitions=4,
+            ds, row_key="k", col_key="cat", categories=["a", "b", "c"]
         )
         .to_pandas()
         .set_index("k")
@@ -101,6 +100,32 @@ def test_pivot_counts(long_table, ray_session):
     for c in ("a", "b", "c"):
         assert (out[f"{c}_cnt"] == exp[c]).all()
     assert "zz_cnt" not in out.columns  # only requested categories
+
+
+def test_pivot_counts_null_category_counts_zero(ray_session):
+    """A NULL ``col_key`` matches no category: ``SUM(CASE WHEN c = 'x' THEN
+    1 ELSE 0 END)`` is 0 for a row key whose rows are all NULL, in every
+    block layout (a NULL indicator used to become INT64_MIN)."""
+    t = pa.table(
+        {
+            "r": pa.array(["a", "a", "b", "b", "b"]),
+            "c": pa.array([None, None, "x", None, "y"], pa.string()),
+        }
+    )
+    for blocks in (1, 3):
+        out = (
+            analytics.pivot_counts(
+                ray.data.from_arrow(t).repartition(blocks),
+                row_key="r",
+                col_key="c",
+                categories=["x", "y"],
+            )
+            .to_pandas()
+            .set_index("r")
+            .sort_index()
+        )
+        assert out["x_cnt"].tolist() == [0, 1], blocks
+        assert out["y_cnt"].tolist() == [0, 1], blocks
 
 
 def test_distinct_count_exact(long_table, ray_session):
@@ -320,55 +345,76 @@ def test_sessionize_gap_split(ray_session):
     assert out["session_seq"].tolist() == [1, 1, 2, 2, 3, 1, 2]
 
 
+def _dims_with_nulls(seed: int) -> pa.Table:
+    """300 (lang, source, n) rows plus NULL ``lang`` and NULL ``n`` rows,
+    including a (lang, source) group whose ``n`` is all NULL."""
+    rng = np.random.RandomState(seed)
+    m = 300
+    lang = [["en", "fr", "de", None][i] for i in rng.randint(0, 4, m)]
+    source = [["web", "book"][i] for i in rng.randint(0, 2, m)]
+    n = [int(v) if v % 7 else None for v in rng.randint(1, 100, m)]
+    return pa.table(
+        {
+            "lang": pa.array(lang + ["xx", "xx"], pa.string()),
+            "source": pa.array(source + ["web", "web"], pa.string()),
+            "n": pa.array(n + [None, None], pa.int64()),
+        }
+    )
+
+
+def _sorted_str(df: pd.DataFrame) -> pd.DataFrame:
+    """Rows as strings, sorted: an engine-neutral comparison (a NULL is
+    "NULL" and an integral float prints as an int, whether a nullable
+    int64 column came back as float64 or as ``Int64``)."""
+
+    def cell(v):
+        if v is None or v is pd.NA or (isinstance(v, float) and np.isnan(v)):
+            return "NULL"
+        if isinstance(v, (float, np.floating)) and float(v).is_integer():
+            return str(int(v))
+        return str(v)
+
+    df = df.astype(object).apply(lambda col: col.map(cell))
+    df.columns = range(df.shape[1])
+    return df.sort_values(list(df.columns)).reset_index(drop=True)
+
+
 def test_rollup_matches_duckdb(ray_session):
     import duckdb
 
-    rng = np.random.RandomState(3)
-    pdf = pd.DataFrame(
-        {
-            "lang": [["en", "fr", "de"][i] for i in rng.randint(0, 3, 300)],
-            "source": [["web", "book"][i] for i in rng.randint(0, 2, 300)],
-            "n": rng.randint(1, 100, 300).astype(np.int64),
-        }
-    )
-    out = analytics.rollup_counts(
-        ray.data.from_pandas(pdf).repartition(4),
-        dims=["lang", "source"],
-        sum_col="n",
-        num_partitions=2,
-    ).to_pandas()
-    exp = duckdb.sql(
-        "SELECT lang, source, CAST(count(*) AS BIGINT) AS n_rows, "
-        "CAST(SUM(n) AS BIGINT) AS sum_n FROM pdf GROUP BY ROLLUP(lang, source)"
-    ).df()
-    key = lambda df: df.astype(str).sort_values(list(df.columns)).reset_index(drop=True)
-    pd.testing.assert_frame_equal(key(out), key(exp.rename(columns={})), check_names=False)
+    t = _dims_with_nulls(3)
+    # and with every n NULL: each SUM, the grand total's too, is NULL
+    all_null = t.set_column(2, "n", pa.nulls(t.num_rows, pa.int64()))
+    for t in (t, all_null):
+        out = analytics.rollup_counts(
+            ray.data.from_arrow(t).repartition(4),
+            dims=["lang", "source"],
+            sum_col="n",
+        ).to_pandas()
+        assert out["n_rows"].dtype == np.int64
+        exp = duckdb.sql(
+            "SELECT lang, source, CAST(count(*) AS BIGINT) AS n_rows, "
+            "CAST(SUM(n) AS BIGINT) AS sum_n FROM t "
+            "GROUP BY ROLLUP(lang, source)"
+        ).df()
+        pd.testing.assert_frame_equal(_sorted_str(out), _sorted_str(exp))
 
 
 def test_cube_matches_duckdb(ray_session):
     import duckdb
 
-    rng = np.random.RandomState(5)
-    pdf = pd.DataFrame(
-        {
-            "lang": [["en", "fr", "de"][i] for i in rng.randint(0, 3, 300)],
-            "source": [["web", "book"][i] for i in rng.randint(0, 2, 300)],
-            "n": rng.randint(1, 100, 300).astype(np.int64),
-        }
-    )
+    t = _dims_with_nulls(5)
     out = analytics.cube_counts(
-        ray.data.from_pandas(pdf).repartition(4),
+        ray.data.from_arrow(t).repartition(4),
         dims=["lang", "source"],
         sum_col="n",
-        num_partitions=2,
     ).to_pandas()
     exp = duckdb.sql(
         "SELECT lang, source, CAST(count(*) AS BIGINT) AS n_rows, "
-        "CAST(SUM(n) AS BIGINT) AS sum_n FROM pdf GROUP BY CUBE(lang, source)"
+        "CAST(SUM(n) AS BIGINT) AS sum_n FROM t GROUP BY CUBE(lang, source)"
     ).df()
     assert len(out) == len(exp)
-    key = lambda df: df.astype(str).sort_values(list(df.columns)).reset_index(drop=True)
-    pd.testing.assert_frame_equal(key(out), key(exp), check_names=False)
+    pd.testing.assert_frame_equal(_sorted_str(out), _sorted_str(exp))
 
 
 def test_cube_rejects_wide_dims(ray_session):
@@ -429,8 +475,7 @@ def test_heavy_hitters_guarantee_guard(ray_session):
 def test_unpivot_roundtrip(long_table, ray_session):
     ds, pdf = long_table
     wide = analytics.pivot_counts(
-        ds, row_key="k", col_key="cat", categories=["a", "b", "c"],
-        num_partitions=2,
+        ds, row_key="k", col_key="cat", categories=["a", "b", "c"]
     )
     long = analytics.unpivot(
         wide, id_cols=["k"], value_cols=["a_cnt", "b_cnt", "c_cnt"],
@@ -837,12 +882,15 @@ def test_cms_counts_bounds(ray_session):
 
 def test_partition_count_invariance(ray_session):
     """Operator outputs must not depend on num_partitions (the multi-node
-    determinism invariant: same answer on any cluster shape)."""
+    determinism invariant: same answer on any cluster shape).  Operators
+    whose one exchange is ``combine_by_key`` take no partition count; for
+    them the input's block count varies instead."""
     rng = np.random.RandomState(21)
     n = 800
     t = pa.table(
         {
             "k": pa.array([f"g{i}" for i in rng.randint(0, 9, n)]),
+            "k2": pa.array([f"h{i}" for i in rng.randint(0, 4, n)]),
             "v": pa.array(rng.randint(0, 500, n).astype(np.int64)),
         }
     )
@@ -855,6 +903,10 @@ def test_partition_count_invariance(ray_session):
             .reset_index(drop=True)
         )
 
+    def by_blocks(op):
+        # p sets the input's block count
+        return lambda ds, p: op(ds.repartition(p))
+
     cases = {
         "distinct": (
             lambda ds, p: analytics.distinct_count(
@@ -863,8 +915,34 @@ def test_partition_count_invariance(ray_session):
             ["k"],
         ),
         "cube": (
-            lambda ds, p: analytics.cube_counts(
-                ds, dims=["k"], sum_col="v", num_partitions=p
+            by_blocks(
+                lambda ds: analytics.cube_counts(
+                    ds, dims=["k", "k2"], sum_col="v"
+                )
+            ),
+            ["k", "k2", "n_rows"],
+        ),
+        "rollup": (
+            by_blocks(
+                lambda ds: analytics.rollup_counts(
+                    ds, dims=["k", "k2"], sum_col="v"
+                )
+            ),
+            ["k", "k2", "n_rows"],
+        ),
+        "grouping_sets": (
+            by_blocks(
+                lambda ds: analytics.grouping_sets_counts(
+                    ds, dims=["k", "k2"], sets=[["k2"], ["k"], []], sum_col="v"
+                )
+            ),
+            ["k", "k2", "n_rows"],
+        ),
+        "pivot": (
+            by_blocks(
+                lambda ds: analytics.pivot_counts(
+                    ds, row_key="k", col_key="k2", categories=["h0", "h2"]
+                )
             ),
             ["k"],
         ),
@@ -1129,7 +1207,6 @@ def test_grouping_sets_counts(ray_session):
         dims=["a", "b"],
         sets=[["a"], ["b"], []],
         sum_col="v",
-        num_partitions=3,
     ).to_pandas()
     # per-a marginal
     a_rows = out[out["a"].notna() & out["b"].isna()].set_index("a")

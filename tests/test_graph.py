@@ -6,7 +6,7 @@ import pyarrow as pa
 
 import ray.data
 
-from hypertrace_ingester_ray.stages import graph
+from hypertrace_ingester_ray.stages import analytics, graph
 
 
 def _reference_pagerank(edges, iters=2, scale=10**12, damping=85):
@@ -70,8 +70,9 @@ def test_distinct_edges(ray_session):
         {"src": [1, 1, 1, 2, 2], "dst": [2, 2, 3, 1, 1]}
     )
     out = (
-        graph.distinct_edges(
-            ray.data.from_pandas(pdf).repartition(3), num_partitions=2
+        analytics.distinct_rows(
+            ray.data.from_pandas(pdf).repartition(3), ["src", "dst"],
+            num_partitions=2,
         )
         .to_pandas()
         .sort_values(["src", "dst"])
