@@ -1567,12 +1567,15 @@ def _incremental_contamination(sf_dir: str):
     )
 
     def _partial(t: pa.Table) -> pa.Table:
-        agg = (
-            t.select(["new_id", "doc_id"])
-            .group_by(["new_id", "doc_id"])
-            .aggregate([([], "count_all")])
+        # one row per shared fingerprint: combine_by_key's map-side
+        # aggregate groups each block (no second group_by here)
+        return pa.table(
+            {
+                "new_id": t["new_id"],
+                "base_id": t["doc_id"],
+                "n_shared": pa.array(np.ones(t.num_rows, np.int64)),
+            }
         )
-        return agg.rename_columns(["new_id", "base_id", "n_shared"])
 
     return combine_by_key(
         joined.map_batches(_partial, batch_format="pyarrow"),
@@ -1741,12 +1744,13 @@ def _user_day_views_purchases_full(sf_dir: str):
         def _partial(t: pa.Table) -> pa.Table:
             t = t.filter(pc.equal(t["event_type"], event_type))
             day = pc.cast(pc.floor_temporal(t["ts"], unit="day"), pa.int64())
-            g = (
-                pa.table({"user_id": t["user_id"], "day": day})
-                .group_by(["user_id", "day"])
-                .aggregate([([], "count_all")])
+            return pa.table(
+                {
+                    "user_id": t["user_id"],
+                    "day": day,
+                    out: pa.array(np.ones(t.num_rows, np.int64)),
+                }
             )
-            return g.rename_columns(["user_id", "day", out])
 
         return combine_by_key(
             ds.map_batches(_partial, batch_format="pyarrow"),
@@ -1894,8 +1898,9 @@ def _user_event_diversity(sf_dir: str):
 
 
 def _trending_types_hourly(sf_dir: str):
-    """Top-3 event types per hour by count: tumbling-hour partial counts
-    (combiner in map_batches) composed with corpus.top_k_per_group."""
+    """Top-3 event types per hour by count: tumbling-hour counts
+    (combine_by_key over a ones column) composed with
+    corpus.top_k_per_group."""
     import pyarrow as pa
     import pyarrow.compute as pc
 
@@ -1904,16 +1909,15 @@ def _trending_types_hourly(sf_dir: str):
     ds = _rpq(os.path.join(sf_dir, "events.parquet"), columns=["ts", "event_type"])
 
     def _partial(t: pa.Table) -> pa.Table:
-        h = pa.table(
+        return pa.table(
             {
                 "hour_us": pc.cast(
                     pc.floor_temporal(t["ts"], unit="hour"), pa.int64()
                 ),
                 "event_type": t["event_type"],
+                "cnt": pa.array(np.ones(t.num_rows, np.int64)),
             }
         )
-        agg = h.group_by(["hour_us", "event_type"]).aggregate([([], "count_all")])
-        return agg.rename_columns(["hour_us", "event_type", "cnt"])
 
     counts = combine_by_key(
         ds.map_batches(_partial, batch_format="pyarrow"),
@@ -2083,10 +2087,12 @@ def _late_events_by_user(sf_dir: str):
     def _late_partial(t: pa.Table) -> pa.Table:
         keep = pc.less(t["us"], pc.subtract(t["mx"], pa.scalar(tol_us, pa.int64())))
         late = t.filter(keep)
-        agg = late.select(["user_id"]).group_by(["user_id"]).aggregate(
-            [([], "count_all")]
+        return pa.table(
+            {
+                "user_id": late["user_id"],
+                "n_late": pa.array(np.ones(late.num_rows, np.int64)),
+            }
         )
-        return agg.rename_columns(["user_id", "n_late"])
 
     return combine_by_key(
         w.map_batches(_late_partial, batch_format="pyarrow"),
@@ -2521,11 +2527,8 @@ def _events_skewjoin_sampled(sf_dir: str):
     evk = ev.map_batches(_derive, batch_format="pyarrow")
 
     def _dim_partial(batch: pa.Table) -> pa.Table:
-        return (
-            batch.select(["k"])
-            .group_by(["k"])
-            .aggregate([([], "count_all")])
-            .rename_columns(["k", "dim_n"])
+        return pa.table(
+            {"k": batch["k"], "dim_n": pa.array(np.ones(batch.num_rows, np.int64))}
         )
 
     dim = combine_by_key(

@@ -4,11 +4,14 @@ Topology analog of HypertraceIngester's merged job chain
 (/root/reference/hypertrace-ingester/src/main/java/org/hypertrace/ingester/
 HypertraceIngester.java:52-77), where consecutive jobs share in-memory streams
 instead of Kafka round-trips (SpanNormalizer.java:55-61).  Here the whole
-chain is ONE lazy Ray Data pipeline with exactly one all-to-all shuffle:
+chain runs as ONE direct hash exchange (one all-to-all shuffle):
 
-  read_parquet(transcripts, ~2 blocks/CPU)
-    → map_batches(normalize_light)                 # span-normalizer (narrow rows)
-    → group_apply_batches(conv_id, partition stage) # grouper + enricher + view-gen
+  exchange map task, one per input group (~2 groups/CPU):
+    read Parquet files (a path input) or take one Ray Data block
+    → prep_main_batch: poison drop (counted), normalize_light, keep-main
+                                                   # span-normalizer (narrow rows)
+    → hash conv_id, slice, IPC buffers for uncommitted partitions only
+  → group_apply_batches reduce tasks (partition stage) # grouper + enricher + view-gen
          ├─ grok extraction (post-shuffle)
          ├─ assemble (order/dedup/cap/sessionize)
          ├─ enricher DAG (topo order, vectorized)
@@ -22,7 +25,8 @@ not of work or output.  After the exchange's counts barrier, consecutive
 small partitions are grouped into batches of about
 ``stages.grouping.REDUCE_BATCH_ROWS`` rows (never fewer batches than cluster
 CPUs) and each batch runs as ONE reduce task (``PartitionProcessor.
-process_batch``).  Inside it, committed partitions are skipped; grok
+process_batch``).  Committed partitions never reach it: the driver passes
+them to the map tasks, which ship no slice for them.  Inside it, grok
 extraction (row-wise), the enricher DAG, the conversation context, the
 six view builders (conversation-local) and the metrics partial run once
 over the whole batch, so their fixed per-call cost is paid once; the
@@ -50,7 +54,12 @@ committed too.  Before the exchange the driver sweeps the out dir
 (``lineage.sweep_uncommitted``): invalid manifests and every sink file no
 valid manifest names are deleted, so a killed run resumes by skipping
 committed partitions with no duplicate or missing routed rows, even when
-the rerun's batch plan differs (state/lineage.py).
+the rerun's batch plan differs (state/lineage.py).  As a Kafka consumer
+resumes from its committed offsets, a committed partition is never
+shipped again: its stats row is built from its manifest on the driver.
+
+The bypass side output and the ``peer_correlation`` index pre-pass read
+the input through Ray Data (``_read_normalized``), as before.
 """
 
 from __future__ import annotations
@@ -79,7 +88,12 @@ from ..stages.grouping import (
     group_apply_batches,
 )
 from ..stages.filters import RateLimitConfig
-from ..stages.normalize import NormalizeConfig, normalize, split_bypass
+from ..stages.normalize import (
+    NormalizeConfig,
+    normalize,
+    prep_main_batch,
+    split_bypass,
+)
 from ..stages.views import VIEW_BUILDERS
 from ..state import lineage
 
@@ -96,8 +110,9 @@ class PipelineConfig:
     # MUST stay constant across resumes of the same out_dir (partition i of a
     # run always holds the same key-groups); guarded by _run_config.json
     num_partitions: int = DEFAULT_NUM_PARTITIONS
-    # input read parallelism: ~2 blocks per CPU keeps per-task overhead low
-    # while the shuffle stays balanced; None = derive from cluster CPUs
+    # input read parallelism (a path input's file groups, one exchange map
+    # task each): ~2 per CPU keeps per-task overhead low while the shuffle
+    # stays balanced; None = derive from cluster CPUs
     read_num_blocks: Optional[int] = None
     service_registry: Optional[Dict[str, str]] = None
     metrics_window: str = "minute"
@@ -326,6 +341,38 @@ def _build_extras(config: "PipelineConfig", peer_index: Optional[Dict[str, str]]
     return extras
 
 
+STATS_SCHEMA = pa.schema(
+    [
+        pa.field("part_id", pa.int32()),
+        pa.field("rows_in", pa.int64()),
+        pa.field("rows_deduped", pa.int64()),
+        pa.field("rows_capped", pa.int64()),
+        pa.field("rows_no_tenant", pa.int64()),
+        pa.field("rows_rate_limited", pa.int64()),
+        pa.field("resumed", pa.bool_()),
+    ]
+    + [pa.field(f"rows_{v}", pa.int64()) for v in VIEW_BUILDERS]
+)
+
+
+def _stats_row(part_id, stats, resumed) -> pa.Table:
+    """One partition's stats row, from ``process_partitions``' stats or a
+    committed manifest (``resumed``)."""
+    row = {
+        "part_id": [part_id],
+        "rows_in": [stats["rows_in"]],
+        "rows_deduped": [stats["rows_deduped"]],
+        "rows_capped": [stats["rows_capped"]],
+        # .get: manifests committed before these counters existed
+        "rows_no_tenant": [stats.get("rows_no_tenant", 0)],
+        "rows_rate_limited": [stats.get("rows_rate_limited", 0)],
+        "resumed": [resumed],
+    }
+    for v in VIEW_BUILDERS:
+        row[f"rows_{v}"] = [stats["view_counts"].get(v, 0)]
+    return pa.Table.from_pydict(row, schema=STATS_SCHEMA)
+
+
 class PartitionProcessor:
     """Partition stage: grouper + enricher + view fan-out + sinks.
 
@@ -334,19 +381,6 @@ class PartitionProcessor:
     are built once per worker — the analog of the process-wide singleton
     EnrichmentProcessor (StructuredTraceEnrichProcessor.java:38-61).
     """
-
-    STATS_SCHEMA = pa.schema(
-        [
-            pa.field("part_id", pa.int32()),
-            pa.field("rows_in", pa.int64()),
-            pa.field("rows_deduped", pa.int64()),
-            pa.field("rows_capped", pa.int64()),
-            pa.field("rows_no_tenant", pa.int64()),
-            pa.field("rows_rate_limited", pa.int64()),
-            pa.field("resumed", pa.bool_()),
-        ]
-        + [pa.field(f"rows_{v}", pa.int64()) for v in VIEW_BUILDERS]
-    )
 
     def __init__(
         self,
@@ -361,85 +395,61 @@ class PartitionProcessor:
             config.service_registry, _build_extras(config, peer_index)
         )
 
-    def _stats_row(self, part_id, stats, resumed):
-        row = {
-            "part_id": [part_id],
-            "rows_in": [stats["rows_in"]],
-            "rows_deduped": [stats["rows_deduped"]],
-            "rows_capped": [stats["rows_capped"]],
-            # .get: manifests committed before these counters existed
-            "rows_no_tenant": [stats.get("rows_no_tenant", 0)],
-            "rows_rate_limited": [stats.get("rows_rate_limited", 0)],
-            "resumed": [resumed],
-        }
-        for v in VIEW_BUILDERS:
-            row[f"rows_{v}"] = [stats["view_counts"].get(v, 0)]
-        return pa.Table.from_pydict(row, schema=self.STATS_SCHEMA)
-
     def __call__(self, part: pa.Table, part_id: int) -> pa.Table:
+        """One partition on its own: resumed from its manifest if it is
+        committed, else processed and committed."""
+        existing = lineage.load_manifest(self.out_dir, part_id)
+        if existing is not None:
+            return _stats_row(part_id, existing, resumed=True)
         return self.process_batch([(part_id, part)])
 
-    def process_batch(self, parts, committed=None) -> pa.Table:
+    def process_batch(self, parts) -> pa.Table:
         """Partition stage over ``[(part_id, table), ...]`` (ascending
-        part ids) in one call: committed partitions are skipped, the rest
-        go through :func:`process_partitions` together and are written as
-        ONE file per sink, named by the first of them; then each is
-        committed in turn — the partition stays the unit of commit and
-        resume.  ``committed`` (``{part_id: manifest}`` from the driver's
-        :func:`lineage.sweep_uncommitted`) says which partitions are
-        committed; without it each partition's manifest is validated here.
+        part ids, none of them committed: the driver keeps committed
+        partitions out of the exchange) in one call: they go through
+        :func:`process_partitions` together and are written as ONE file
+        per sink, named by the first of them; then each is committed in
+        turn — the partition stays the unit of commit and resume.
         Returns one stats row per partition."""
-        rows = {}
-        todo = []
-        for part_id, part in parts:
-            existing = (
-                lineage.load_manifest(self.out_dir, part_id)
-                if committed is None
-                else committed.get(part_id)
+        cfg = self.config
+        views, stats = process_partitions(
+            [part for _, part in parts],
+            registry=self.registry,
+            max_turns_per_conv=cfg.max_turns_per_conv,
+            session_gap_us=cfg.session_gap_us,
+            metrics_window=cfg.metrics_window,
+            drop_root_exits=cfg.drop_root_exits,
+            root_exit_exclusions=cfg.root_exit_exclusions,
+            latency_sample_pct=cfg.latency_sample_pct,
+            tenant_id=cfg.normalize.tenant_id,
+            tenant_column=cfg.normalize.tenant_column,
+            rate_limit=cfg.rate_limit,
+        )
+        file_parts = [part_id for part_id, _ in parts]
+        checksums = {
+            name: lineage.write_view_part(
+                self.out_dir, name, file_parts[0], tbl
+            )[1]
+            for name, tbl in views.items()
+        }
+        rows = []
+        for part_id, st in zip(file_parts, stats):
+            lineage.commit_manifest(
+                self.out_dir,
+                part_id,
+                rows_in=st["rows_in"],
+                rows_deduped=st["rows_deduped"],
+                rows_capped=st["rows_capped"],
+                view_counts=st["view_counts"],
+                view_checksums=checksums,
+                file_parts=file_parts,
+                extra={
+                    "rows_no_tenant": st["rows_no_tenant"],
+                    "rows_rate_limited": st["rows_rate_limited"],
+                },
             )
-            if existing is not None:
-                rows[part_id] = self._stats_row(part_id, existing, resumed=True)
-            else:
-                todo.append((part_id, part))
-        if todo:
-            cfg = self.config
-            views, stats = process_partitions(
-                [part for _, part in todo],
-                registry=self.registry,
-                max_turns_per_conv=cfg.max_turns_per_conv,
-                session_gap_us=cfg.session_gap_us,
-                metrics_window=cfg.metrics_window,
-                drop_root_exits=cfg.drop_root_exits,
-                root_exit_exclusions=cfg.root_exit_exclusions,
-                latency_sample_pct=cfg.latency_sample_pct,
-                tenant_id=cfg.normalize.tenant_id,
-                tenant_column=cfg.normalize.tenant_column,
-                rate_limit=cfg.rate_limit,
-            )
-            file_parts = [part_id for part_id, _ in todo]
-            checksums = {
-                name: lineage.write_view_part(
-                    self.out_dir, name, file_parts[0], tbl
-                )[1]
-                for name, tbl in views.items()
-            }
-            for part_id, st in zip(file_parts, stats):
-                lineage.commit_manifest(
-                    self.out_dir,
-                    part_id,
-                    rows_in=st["rows_in"],
-                    rows_deduped=st["rows_deduped"],
-                    rows_capped=st["rows_capped"],
-                    view_counts=st["view_counts"],
-                    view_checksums=checksums,
-                    file_parts=file_parts,
-                    extra={
-                        "rows_no_tenant": st["rows_no_tenant"],
-                        "rows_rate_limited": st["rows_rate_limited"],
-                    },
-                )
-                rows[part_id] = self._stats_row(part_id, st, resumed=False)
-        return pa.concat_tables([rows[part_id] for part_id, _ in parts])
+            rows.append(_stats_row(part_id, st, resumed=False))
+        return pa.concat_tables(rows)
 
 
 def _cached_processor(out_dir, config, peer_index, cache_key):
@@ -458,12 +468,11 @@ def _partition_batch_task(
     config: "PipelineConfig",
     peer_index: Optional[Dict[str, str]],
     cache_key: str,
-    committed: Dict[int, dict],
 ):
     """Stateless-task form of the partition stage for one reduce batch of
     the direct exchange or of bucketed replay."""
     return _cached_processor(out_dir, config, peer_index, cache_key).process_batch(
-        parts, committed
+        parts
     )
 
 
@@ -542,19 +551,24 @@ def _backfill_empty_sinks(out_dir: str) -> None:
         os.rename(tmp, d)
 
 
+def _read_num_blocks(config: "PipelineConfig") -> int:
+    if config.read_num_blocks is not None:
+        return config.read_num_blocks
+    return max(8, int(ray.cluster_resources().get("CPU", 4)) * 2)
+
+
 def _read_normalized(input_path_or_ds, config: "PipelineConfig"):
-    """read → normalize → bypass split (the pre-shuffle half of the
-    topology), shared by the direct run and the bucketed-corpus writer."""
+    """read → normalize → bypass split through Ray Data: the bucketed-corpus
+    writer's pre-shuffle half, and the input of the direct run's side
+    branches (bypass output, peer index).  The direct run's own main stream
+    is read and normalized in its exchange map tasks."""
     if isinstance(input_path_or_ds, Dataset):
         ds = input_path_or_ds
     else:
-        read_blocks = config.read_num_blocks
-        if read_blocks is None:
-            read_blocks = max(8, int(ray.cluster_resources().get("CPU", 4)) * 2)
         from ..sources.parquet import read_parquet_clean
 
         ds = read_parquet_clean(
-            input_path_or_ds, override_num_blocks=read_blocks
+            input_path_or_ds, override_num_blocks=_read_num_blocks(config)
         )
     from ..stages.normalize import needs_extraction_for_rules, normalize_light
 
@@ -708,6 +722,9 @@ def run_pipeline(
 
     t0 = time.perf_counter()
     phases = {}
+    # Ray Data reads of the input, for the side branches only: the bypass
+    # output and the peer index
+    main_ds = bypass = None
     if bucketed_corpus is not None:
         from ..stages.sinks import _load_bucket_meta
 
@@ -723,14 +740,25 @@ def run_pipeline(
                 f"config.num_partitions={config.num_partitions}; the bucket "
                 "layout IS the partition layout — match them"
             )
-        main = None
         bp_path = os.path.join(bucketed_corpus, "bypass")
         bypass = ray.data.read_parquet(bp_path) if os.path.exists(bp_path) else None
+        if config.peer_correlation:
+            # bucketed replay: scan the stored bucket files (no shuffle)
+            main_ds = ray.data.read_parquet(os.path.join(main_dir, "data"))
     else:
-        # ship narrow rows through the shuffle when no rule needs extracted
-        # columns; the grok extraction then runs post-shuffle in the
-        # partition stage (same vectorized kernel, ~40% fewer shuffle bytes)
-        main, bypass = _read_normalized(input_path_or_ds, config)
+        # the exchange's map tasks read and normalize the main stream
+        # themselves: a path input is split into file groups, a Dataset
+        # input gives its blocks
+        if isinstance(input_path_or_ds, Dataset):
+            source = input_path_or_ds
+        else:
+            from ..sources.parquet import parquet_file_groups
+
+            source = parquet_file_groups(
+                input_path_or_ds, _read_num_blocks(config)
+            )
+        if config.normalize.bypass_rules or config.peer_correlation:
+            main_ds, bypass = _read_normalized(input_path_or_ds, config)
 
     # optional G4/J2 pre-pass: small-side index built distributively, then
     # broadcast into the partition stage
@@ -738,20 +766,18 @@ def run_pipeline(
     if config.peer_correlation:
         from ..enrichers.extended import build_peer_index
 
-        peer_index = build_peer_index(
-            main
-            if main is not None
-            # bucketed replay: scan the stored bucket files (no shuffle)
-            else ray.data.read_parquet(os.path.join(main_dir, "data"))
-        )
+        peer_index = build_peer_index(main_ds)
 
     # S6 analog: write the sink schema manifest once at pipeline start
     # (the Pinot view-creator bootstrap job)
     _write_schema_manifest(out_dir)
     # resume: the committed partitions, with every sink file of an
     # uncommitted one (a killed batch's orphans) deleted before any task
-    # writes — the batch plan may differ from the killed run's
+    # writes — the batch plan may differ from the killed run's.  They are
+    # skipped before the exchange: no map task ships their rows and no
+    # reduce task sees them
     committed = lineage.sweep_uncommitted(out_dir, SINKS)
+    skip = sorted(committed)
 
     import hashlib
     from functools import partial
@@ -765,26 +791,31 @@ def run_pipeline(
         config=config,
         peer_index=peer_index,
         cache_key=cache_key,
-        committed=committed,
     )
     # stateless batch tasks, processor cached per worker process; exchanged
     # partitions and stored buckets share the reduce batches
     # (stages/grouping.py _reduce_stage).  One stats row per partition.
     if bucketed_corpus is not None:
         stats_refs = bucketed_reduce(
-            [main_dir], batch_task, sort_by=["turn_idx", "ts"]
+            [main_dir], batch_task, sort_by=["turn_idx", "ts"], skip=skip
         )
-        exchange_bytes = 0  # the exchange ran when the corpus was bucketed
+        # the exchange ran, and dropped the poison rows, when the corpus
+        # was bucketed
+        totals = {"exchange_bytes": 0, "rows_dropped": 0}
     else:
-        stats_refs, exchange_bytes = group_apply_batches(
-            main,
+        stats_refs, totals = group_apply_batches(
+            source,
             "conv_id",
             batch_task,
             sort_by=["turn_idx", "ts"],
             num_partitions=config.num_partitions,
+            prep=partial(prep_main_batch, config=config.normalize),
+            skip=skip,
         )
     stats = pa.concat_tables(
-        ray.get(stats_refs) or [PartitionProcessor.STATS_SCHEMA.empty_table()]
+        ray.get(stats_refs)
+        + [_stats_row(p, m, resumed=True) for p, m in sorted(committed.items())]
+        or [STATS_SCHEMA.empty_table()]
     ).to_pandas()
     reduce_tasks = len(stats_refs)
     phases["main_stage"] = round(time.perf_counter() - t0, 2)
@@ -836,13 +867,16 @@ def run_pipeline(
         "num_partitions": len(stats),
         "reduce_tasks": reduce_tasks,
         # Arrow IPC bytes the exchange's map tasks shipped to the reducers
-        "exchange_bytes": exchange_bytes,
+        "exchange_bytes": totals["exchange_bytes"],
         "resumed_partitions": int(stats["resumed"].sum()),
         "rows_in": total_rows_in,
         "rows_deduped": int(stats["rows_deduped"].sum()),
         "rows_capped": int(stats["rows_capped"].sum()),
         "rows_no_tenant": int(stats["rows_no_tenant"].sum()),
         "rows_rate_limited": int(stats["rows_rate_limited"].sum()),
+        # rows with a NULL conv_id, turn_idx or ts, dropped before the
+        # exchange (stages.normalize.drop_poison_rows)
+        "rows_poison": totals["rows_dropped"],
         "view_counts": {
             v: int(stats[f"rows_{v}"].sum()) for v in VIEW_BUILDERS
         },

@@ -6,15 +6,21 @@ dict), which makes Ray Data's block-schema deduplication log a
 "Failed to hash the schemas" warning inside the read operator — before any
 ``map_batches`` could strip it.  Passing an explicit metadata-free ``schema=``
 to ``read_parquet`` makes every block schema clean at the source.
+
+:func:`parquet_file_groups` splits a path into the same files, hive
+``key=value`` columns and schema without Ray Data: the flagship's exchange
+map tasks read those groups themselves (``stages.grouping``).
 """
 
 from __future__ import annotations
 
 import glob
 import os
-from typing import Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 import ray.data
@@ -52,3 +58,55 @@ def read_parquet_clean(
     if columns is not None:
         kwargs["columns"] = list(columns)
     return ray.data.read_parquet(path, **kwargs)
+
+
+class ParquetFileGroup:
+    """A group of Parquet files read as one table in one task: each file
+    under ``schema`` (None: the file's own), its hive ``key=value`` columns
+    appended as strings, files in listing order.  The rows and columns are
+    those ``read_parquet_clean`` gives for the same files."""
+
+    __slots__ = ("files", "schema")
+
+    def __init__(self, files: List[Tuple[str, Dict[str, str]]],
+                 schema: Optional[pa.Schema]):
+        self.files = files  # [(path, {partition column: value}), ...]
+        self.schema = schema
+
+    def read(self) -> pa.Table:
+        tables = []
+        for path, partitions in self.files:
+            t = pq.read_table(
+                path, schema=self.schema, partitioning=None, use_threads=False
+            )
+            for name, value in partitions.items():
+                if name not in t.column_names:
+                    t = t.append_column(
+                        name, pc.fill_null(pa.nulls(t.num_rows, pa.string()), value)
+                    )
+            tables.append(t)
+        nonempty = [t for t in tables if t.num_rows] or tables[:1]
+        return pa.concat_tables(
+            nonempty, promote_options="default"
+        ).replace_schema_metadata(None)
+
+
+def parquet_file_groups(path: str, num_groups: int) -> List[ParquetFileGroup]:
+    """The files under ``path`` (a file, or a dir listed recursively) in at
+    most ``num_groups`` groups of consecutive files — the listing, hive
+    partition columns, schema and file split ``read_parquet_clean(path,
+    override_num_blocks=num_groups)`` uses, without starting a Ray Data
+    read (no fragment sampling, no streaming executor)."""
+    from ray.data.datasource.partitioning import Partitioning, PathPartitionParser
+
+    parse = PathPartitionParser(Partitioning("hive"))
+    files = [
+        (f.path, parse(f.path))
+        for f in pq.ParquetDataset(path, partitioning=None).fragments
+    ]
+    schema = clean_schema(path)
+    return [
+        ParquetFileGroup([files[i] for i in idx], schema)
+        for idx in np.array_split(np.arange(len(files)), max(1, num_groups))
+        if len(idx)
+    ]

@@ -19,9 +19,11 @@ complete conversations, is sorted once, and every group in it is processed
 with vectorized numpy segment operations (run-length boundaries).  Python
 overhead is O(partitions), not O(groups), while the shuffle volume is
 identical.  The same exchange, with the same reduce batches, carries
-``group_apply_batches`` (the flagship), the two-input ``cogroup`` that
-every co-shuffle join builds on, and ``combine_by_key``, the keyed sum/min
-behind every aggregate; slices travel as Arrow IPC stream buffers.  Stored
+``group_apply_batches`` (the flagship, whose map tasks also read and
+normalize its input and drop its committed partitions), the two-input
+``cogroup`` that every co-shuffle join builds on, and ``combine_by_key``,
+the keyed sum/min behind every aggregate; slices travel as Arrow IPC
+stream buffers.  Stored
 bucketed tables (exchanges whose map side ran at write time) ride the same
 reduce batches through ``bucketed_reduce``: bucketed replay,
 ``bucketed_group_apply`` and ``bucketed_join``.  Global
@@ -53,6 +55,8 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ray.data import Dataset
+
+from ..sources.parquet import ParquetFileGroup
 
 PART_COL = "__part"
 
@@ -294,20 +298,25 @@ def salted_group_apply(
 # ---------------------------------------------------------------------------
 
 def _arrow_block(block) -> pa.Table:
-    """A Ray Data block as a ``pa.Table`` (pandas blocks are converted)."""
+    """A map input as a ``pa.Table``: a Ray Data block (pandas blocks are
+    converted) or a group of Parquet files, read here."""
     if isinstance(block, pa.Table):
         return block
+    if isinstance(block, ParquetFileGroup):
+        return block.read()
     from ray.data.block import BlockAccessor
 
     return BlockAccessor.for_block(block).to_arrow()
 
 
-def _shuffle_map_fn(block, keys, num_partitions, identity=False, combine=None):
+def _shuffle_map_fn(block, keys, num_partitions, identity=False, combine=None,
+                    skip=None):
     """Map side of the direct exchange: split one input block into
     ``num_partitions`` key-complete slices (+ a per-partition row-count
     vector the driver uses to skip empty partitions without fetching data).
     ``combine``, if given, first reduces the block to one row per key
-    (:func:`combine_by_key`'s map-side aggregate).
+    (:func:`combine_by_key`'s map-side aggregate).  The partitions listed
+    in ``skip`` get no slice and a count of 0: their rows are dropped here.
 
     Slices are zero-copy views of one sorted copy of the block.  This
     function runs in-process (perfbench's traced pass, tests); the exchange
@@ -337,6 +346,10 @@ def _shuffle_map_fn(block, keys, num_partitions, identity=False, combine=None):
         t = add_part_column(block, keys, num_partitions)
     part = t[PART_COL].to_numpy(zero_copy_only=False)
     order_idx = np.argsort(part, kind="stable")
+    if skip:
+        skipped = np.zeros(num_partitions, dtype=bool)
+        skipped[skip] = True
+        order_idx = order_idx[~skipped[part[order_idx]]]
     sorted_t = t.take(pa.array(order_idx))
     bounds = np.searchsorted(part[order_idx], np.arange(num_partitions + 1))
     counts = np.diff(bounds)
@@ -357,21 +370,30 @@ def _ipc_buffer(table: pa.Table) -> pa.Buffer:
     return sink.getvalue()
 
 
-def _shuffle_map_ipc(block, keys, num_partitions, identity=False,
-                     combine=None):
-    """The exchange's map task: :func:`_shuffle_map_fn`, with each non-empty
-    slice returned as one Arrow IPC stream buffer.  Ray stores a
+def _shuffle_map_ipc(src, keys, num_partitions, identity=False, combine=None,
+                     prep=None, skip=None):
+    """The exchange's map task: :func:`_shuffle_map_fn` over one map source
+    (a Ray Data block, or a group of Parquet files read here), with each
+    non-empty slice returned as one Arrow IPC stream buffer.  Ray stores a
     ``pa.Buffer`` as one out-of-band blob, while a ``pa.Table`` goes through
     its pure-Python Arrow reducer column by column, chunk by chunk (on one
     CPU, perfbench ``ingest_default``: 0.43 s of storing per call against
-    0.05 s of hashing and slicing; 0.02 s as buffers).  The last return
-    is a ``(2, num_partitions)`` int64 array: rows, then IPC bytes, per
-    partition."""
+    0.05 s of hashing and slicing; 0.02 s as buffers).
+
+    ``prep(table) -> (table, rows_dropped)``, if given, runs first, in this
+    task (the flagship's normalize: no separate Ray Data stage between the
+    read and the hash).  The last return is a ``(3, num_partitions)`` int64
+    array: rows, then IPC bytes, per partition; then the rows ``prep``
+    dropped, as one total in the first entry."""
+    block = _arrow_block(src)
+    dropped = np.zeros(num_partitions, dtype=np.int64)
+    if prep is not None and block.num_rows:
+        block, dropped[0] = prep(block)
     *slices, counts = _shuffle_map_fn(block, keys, num_partitions, identity,
-                                      combine)
+                                      combine, skip)
     bufs = [None if s is None else _ipc_buffer(s) for s in slices]
     nbytes = [0 if b is None else b.size for b in bufs]
-    return (*bufs, np.array([counts, nbytes], dtype=np.int64))
+    return (*bufs, np.array([counts, nbytes, dropped], dtype=np.int64))
 
 
 def _read_source(src) -> pa.Table:
@@ -479,9 +501,22 @@ def _apply_per_partition(fn, pass_part_id, parts):
     return outs if len(outs) > 1 else outs[0]
 
 
+def _map_sources(inp):
+    """The map sources of one exchange input: a Dataset's block refs (in
+    stream order), or ``inp`` itself, a list of
+    :class:`~..sources.parquet.ParquetFileGroup`."""
+    if isinstance(inp, Dataset):
+        return (
+            block_ref
+            for bundle in inp.iter_internal_ref_bundles()
+            for block_ref in bundle.block_refs
+        )
+    return inp
+
+
 def _direct_exchange(inputs, keys, batch_fn, *, orders, num_partitions,
                      schemas=None, identity=False, combine=None,
-                     per_partition_returns=False):
+                     per_partition_returns=False, prep=None, skip=None):
     """Two-stage raw-task hash exchange, bypassing the sort-shuffle machinery.
 
     Why: Ray Data's sort-based ``groupby().map_groups`` costs ~1.8 s on the
@@ -493,13 +528,16 @@ def _direct_exchange(inputs, keys, batch_fn, *, orders, num_partitions,
     (SpanNormalizer.java:72-80) is exactly this shape: producers write
     hash-routed slices, one consumer per partition.
 
-    Inputs: ``inputs`` is a list of datasets hashed by the same ``keys``
-    (one for :func:`group_apply`, two for :func:`cogroup`); ``orders[s]``
-    is input ``s``'s sort key and ``schemas[s]`` (optional) the typed empty
-    table it takes in a partition where it has no rows.  Every input is
-    mapped with the same hash, so a key lands on the same partition id on
-    every side.  ``combine`` runs on each block in its map task, before
-    the split (see :func:`_shuffle_map_fn`).
+    Inputs: ``inputs`` lists the exchange's inputs hashed by the same
+    ``keys`` (one for :func:`group_apply`, two for :func:`cogroup`); each is
+    a Dataset or a list of Parquet file groups (see :func:`_map_sources`).
+    ``orders[s]`` is input ``s``'s sort key and ``schemas[s]`` (optional)
+    the typed empty table it takes in a partition where it has no rows.
+    Every input is mapped with the same hash, so a key lands on the same
+    partition id on every side.  ``combine`` runs on each block in its map
+    task, before the split (see :func:`_shuffle_map_fn`); ``prep`` before
+    that (see :func:`_shuffle_map_ipc`).  The partitions in ``skip`` get
+    no slices, so no reduce task plans them.
 
     Fan-out: the exchange makes map tasks × non-empty partitions objects
     and has no partition ceiling.  On one node (1 CPU) it beat Ray Data's
@@ -507,41 +545,46 @@ def _direct_exchange(inputs, keys, batch_fn, *, orders, num_partitions,
     22 s against 44 s, 1,024 over sf0.01 in 5 s against 12 s.  Multi-node
     behaviour at that fan-out has not been measured.
 
-    One :func:`_shuffle_map_ipc` task per input block, the counts barrier,
+    One :func:`_shuffle_map_ipc` task per map source, the counts barrier,
     then :func:`_reduce_stage`.  Each map task returns one object per
     non-empty partition, an Arrow IPC stream buffer, so a reducer pulls only
     its own partitions' bytes; the reduce tasks decode them zero-copy in
-    :func:`_concat_sort`.  Returns ``(refs, map_refs, exchange_bytes)``: the
-    reduce stage's refs, the map tasks' refs (one list per input), and the
-    IPC bytes of every slice, summed from the counts the driver fetches
+    :func:`_concat_sort`.  Returns ``(refs, map_refs, totals)``: the reduce
+    stage's refs, the map tasks' refs (one list per input), and
+    ``{"exchange_bytes", "rows_dropped"}``, the IPC bytes of every slice and
+    the rows ``prep`` dropped, summed from the counts the driver fetches
     anyway.
 
-    Streaming: map tasks launch as upstream blocks materialize
-    (``iter_internal_ref_bundles`` is a streaming iterator); the reduce
-    barrier is inherent to any hash shuffle.  Fault tolerance: map/reduce
-    are deterministic tasks, so Ray lineage reconstructs lost slices.
+    Streaming: a Dataset input's map tasks launch as its blocks materialize
+    (``iter_internal_ref_bundles`` is a streaming iterator); a file group's
+    map task reads, preps, hashes and slices in one task, so nothing runs
+    between the read and the slices.  The reduce barrier is inherent to
+    any hash shuffle.  Fault tolerance: map/reduce are deterministic
+    tasks, so Ray lineage reconstructs lost slices.
     """
     import ray as _ray
 
     map_remote = _ray.remote(num_returns=num_partitions + 1)(_shuffle_map_ipc)
     map_refs = [
         [
-            map_remote.remote(block_ref, keys, num_partitions, identity, combine)
-            for bundle in ds.iter_internal_ref_bundles()
-            for block_ref in bundle.block_refs
+            map_remote.remote(src, keys, num_partitions, identity, combine,
+                              prep, skip)
+            for src in _map_sources(inp)
         ]
-        for ds in inputs
+        for inp in inputs
     ]
     all_maps = [r for side in map_refs for r in side]
     if not all_maps:
-        return [], map_refs, 0
-    # counts are tiny (2 x P int64s per map task); fetching them blocks until
+        return [], map_refs, {"exchange_bytes": 0, "rows_dropped": 0}
+    # counts are tiny (3 x P int64s per map task); fetching them blocks until
     # all maps finish — which is exactly when reduces become runnable anyway
-    rows, nbytes = np.sum(_ray.get([r[num_partitions] for r in all_maps]),
-                          axis=0)
+    rows, nbytes, dropped = np.sum(
+        _ray.get([r[num_partitions] for r in all_maps]), axis=0
+    )
     refs = _reduce_stage(map_refs, rows, batch_fn, orders, schemas,
                          per_partition_returns)
-    return refs, map_refs, int(nbytes.sum())
+    return refs, map_refs, {"exchange_bytes": int(nbytes.sum()),
+                            "rows_dropped": int(dropped.sum())}
 
 
 def _reduce_stage(sides, counts, batch_fn, orders, schemas,
@@ -577,14 +620,14 @@ def _reduce_stage(sides, counts, batch_fn, orders, schemas,
 
 
 def bucketed_reduce(dirs, batch_fn, *, sort_by=None,
-                    per_partition_returns=False) -> list:
+                    per_partition_returns=False, skip=None) -> list:
     """:func:`_reduce_stage` over stored :func:`~.sinks.write_bucketed`
     tables, exchanges whose map side ran at write time: bucket ``i`` of
     every dir is partition ``i``, so the dirs' contracts must agree.  Row
     counts come from the bucket files' Parquet footers (0 for a missing
-    file: that hash range was empty at write time); each task reads its
-    files, and a missing one is its dir's typed empty table.  Side ``s`` is
-    sorted by ``[*its keys, *sort_by]``."""
+    file: that hash range was empty at write time, and for the buckets in
+    ``skip``); each task reads its files, and a missing one is its dir's
+    typed empty table.  Side ``s`` is sorted by ``[*its keys, *sort_by]``."""
     from ..state import lineage
     from .sinks import _load_bucket_meta
 
@@ -604,34 +647,45 @@ def bucketed_reduce(dirs, batch_fn, *, sort_by=None,
              for f in files]
         paths.append([[f if k else None for f, k in zip(files, n)]])
         rows.append(n)
+    counts = np.sum(rows, axis=0)
+    if skip:
+        counts[skip] = 0
     orders = [list(m["key"]) + list(sort_by or []) for m in metas]
-    return _reduce_stage(paths, np.sum(rows, axis=0), batch_fn, orders,
+    return _reduce_stage(paths, counts, batch_fn, orders,
                          [m["schema"] for m in metas], per_partition_returns)
 
 
 def group_apply_batches(
-    ds: Dataset,
+    source,
     key: Union[str, Sequence[str]],
     batch_fn: Callable,
     *,
     sort_by: Optional[Sequence[str]] = None,
     num_partitions: int = DEFAULT_NUM_PARTITIONS,
+    prep: Optional[Callable] = None,
+    skip: Optional[Sequence[int]] = None,
 ) -> tuple:
     """Direct hash exchange whose consumer takes whole batches of
     partitions: ``batch_fn([(part_id, table), ...])`` runs once per reduce
     task, each table sorted by ``[*keys, *sort_by]`` exactly as
-    :func:`group_apply` hands it to ``fn``.  Returns ``(refs,
-    exchange_bytes)``: the ObjectRefs of the batch outputs (fetch them with
-    ``ray.get``), one per reduce task, and the bytes the exchange moved."""
+    :func:`group_apply` hands it to ``fn``.  ``source`` is a Dataset or a
+    list of Parquet file groups
+    (:func:`~..sources.parquet.parquet_file_groups`); ``prep`` runs on each
+    map input in its map task and ``skip`` lists partitions no reduce task
+    gets (see :func:`_direct_exchange`).  Returns ``(refs, totals)``: the
+    ObjectRefs of the batch outputs (fetch them with ``ray.get``), one per
+    reduce task, and ``{"exchange_bytes", "rows_dropped"}``."""
     keys = [key] if isinstance(key, str) else list(key)
-    refs, _, exchange_bytes = _direct_exchange(
-        [ds],
+    refs, _, totals = _direct_exchange(
+        [source],
         keys,
         batch_fn,
         orders=[keys + list(sort_by or [])],
         num_partitions=num_partitions,
+        prep=prep,
+        skip=skip,
     )
-    return refs, exchange_bytes
+    return refs, totals
 
 
 def group_apply(

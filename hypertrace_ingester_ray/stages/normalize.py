@@ -470,6 +470,29 @@ def normalize_light(ds: Dataset, config: NormalizeConfig = NormalizeConfig()) ->
     )
 
 
+def keep_main(batch: pa.Table, config: NormalizeConfig) -> pa.Table:
+    """The main side of the bypass split: the rows no bypass rule matches."""
+    if not config.bypass_rules:
+        return batch
+    return batch.filter(pc.invert(rules_mask(batch, config.bypass_rules)))
+
+
+def prep_main_batch(batch: pa.Table, config: NormalizeConfig):
+    """The flagship's whole pre-shuffle half over one input batch, as the
+    exchange's map task runs it: drop the poison rows, normalize (light, or
+    with extraction when a rule needs extracted columns) and keep the main
+    side of the bypass split.  Returns ``(main rows, poison rows dropped)``
+    — the reference counts the bad records it swallows
+    (JaegerSpanPreProcessor.java:88-96)."""
+    n = batch.num_rows
+    batch = drop_poison_rows(batch)
+    norm = (
+        normalize_batch if needs_extraction_for_rules(config)
+        else normalize_light_batch
+    )
+    return keep_main(norm(batch, config), config), n - batch.num_rows
+
+
 def split_bypass(ds: Dataset, config: NormalizeConfig):
     """Route bypass rows to their own branch (SpanNormalizer.java:66-70).
 
@@ -478,15 +501,12 @@ def split_bypass(ds: Dataset, config: NormalizeConfig):
     if not config.bypass_rules:
         return ds, None
 
-    def _keep_main(batch: pa.Table) -> pa.Table:
-        m = rules_mask(batch, config.bypass_rules)
-        return batch.filter(pc.invert(m))
-
     def _keep_bypass(batch: pa.Table) -> pa.Table:
         m = rules_mask(batch, config.bypass_rules)
         return batch.filter(m)
 
     return (
-        ds.map_batches(_keep_main, batch_format="pyarrow"),
+        ds.map_batches(keep_main, batch_format="pyarrow",
+                       fn_kwargs={"config": config}),
         ds.map_batches(_keep_bypass, batch_format="pyarrow"),
     )

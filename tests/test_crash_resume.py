@@ -491,11 +491,14 @@ def test_bucketed_group_apply_zero_shuffle(ray_session, tmp_path):
     assert set(sch.types) == {pa.int64()}
 
 
-def test_bucketed_corpus_replay_matches_direct_run(ray_session, tmp_path):
+def test_bucketed_corpus_replay_matches_direct_run(
+    ray_session, tmp_path, monkeypatch
+):
     """run_pipeline over a prepare_bucketed_corpus layout (ZERO query-time
     shuffle) produces byte-identical routed rows and view counts to the
     direct shuffled run, in shared reduce batches; bucket-count mismatch
-    raises."""
+    raises.  Resumes of both runs keep committed partitions out of the
+    exchange and out of every reduce task."""
     import glob
     import os
 
@@ -558,6 +561,61 @@ def test_bucketed_corpus_replay_matches_direct_run(ray_session, tmp_path):
             PipelineConfig(num_partitions=4),
             bucketed_corpus=bucket_dir,
         )
+
+    # resume: a committed partition is never shipped by the exchange's map
+    # tasks nor handed to a reduce task (process_batch); its stats come
+    # from its manifest, so the summary equals the fresh run's
+    import shutil
+
+    from hypertrace_ingester_ray.pipelines import ingest
+    from hypertrace_ingester_ray.state import lineage
+
+    seen = tmp_path / "process_batch_parts.txt"
+
+    def spy(parts, *, out_dir, config, peer_index, cache_key):
+        with open(seen, "a") as f:
+            f.write("".join(f"{p}\n" for p, _ in parts))
+        proc = ingest._cached_processor(out_dir, config, peer_index, cache_key)
+        return proc.process_batch(parts)
+
+    monkeypatch.setattr(ingest, "_partition_batch_task", spy)
+
+    def counters(s):
+        keep = ("num_partitions", "view_counts", "partition_rows")
+        return {k: v for k, v in s.items() if k.startswith("rows_") or k in keep}
+
+    def seen_parts():
+        return [int(x) for x in seen.read_text().split()] if seen.exists() else []
+
+    for out, fresh, inp, bucketed in (
+        (direct_out, s1, transcripts_from_events(sf), None),
+        (replay_out, s2, None, bucket_dir),
+    ):
+        again = run_pipeline(inp, out, cfg, bucketed_corpus=bucketed)
+        assert again["resumed_partitions"] == cfg.num_partitions
+        assert again["exchange_bytes"] == 0
+        assert again["reduce_tasks"] == 0
+        assert counters(again) == counters(fresh)
+        assert seen_parts() == []
+
+    # lose the commits of half the sink files (each file's partitions
+    # commit together): only their partitions are shipped and processed
+    manifests = {}
+    for path in glob.glob(os.path.join(direct_out, "_manifests", "*.json")):
+        with open(path) as f:
+            m = json.load(f)
+        manifests[m["part_id"]] = m
+    files = sorted({m["file_part"] for m in manifests.values()})
+    assert len(files) > 1
+    lost = sorted(p for p, m in manifests.items() if m["file_part"] in files[::2])
+    for p in lost:
+        os.remove(lineage.manifest_path(direct_out, p))
+    shutil.rmtree(os.path.join(direct_out, "metrics"))
+    half = run_pipeline(transcripts_from_events(sf), direct_out, cfg)
+    assert half["resumed_partitions"] == cfg.num_partitions - len(lost)
+    assert 0 < half["exchange_bytes"] < s1["exchange_bytes"]
+    assert counters(half) == counters(s1)
+    assert sorted(seen_parts()) == lost
 
 
 def test_prepare_bucketed_corpus_identity_guard(ray_session, tmp_path):

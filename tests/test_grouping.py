@@ -464,9 +464,10 @@ def test_exchange_ships_ipc_buffers(ray_session):
     for blk in (block, pdf):
         local = grouping._shuffle_map_fn(blk, ["k"], P)
         got = ray.get(list(map_remote.remote(ray.put(blk), ["k"], P)))
-        rows, nbytes = got[P]
+        rows, nbytes, dropped = got[P]
         assert rows.tolist() == local[P].tolist()
         assert rows.sum() == len(blk)
+        assert dropped.sum() == 0  # no prep, nothing dropped
         for p in range(P):
             if local[p] is None:
                 assert got[p] is None and rows[p] == nbytes[p] == 0

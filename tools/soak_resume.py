@@ -11,11 +11,14 @@ no duplicate and no missing routed rows):
     ray stop --force   # reap orphaned raylet from the killed driver
     python tools/soak_resume.py run --out /dev/shm/soakA   # resume
 
-    # 3. verify A internally (dup-free keys, counter accounting, metrics)
-    python tools/soak_resume.py verify --out /dev/shm/soakA
-
-    # 4. run B uninterrupted, compare view_counts A == B (no missing rows)
+    # 3. run B uninterrupted
     python tools/soak_resume.py run --out /dev/shm/soakB
+
+    # 4. verify A internally (dup-free keys, counter accounting, metrics;
+    #    with --b, a resume ships fewer exchange bytes than B's full run)
+    python tools/soak_resume.py verify --out /dev/shm/soakA --b /dev/shm/soakB
+
+    # 5. compare view_counts A == B (no missing rows)
     python tools/soak_resume.py compare --a /dev/shm/soakA --b /dev/shm/soakB
 
 Ray starts with ``os.cpu_count()`` CPUs (``RAY_GRAFT_CPUS`` overrides) and
@@ -155,12 +158,22 @@ def _load_manifest(out_dir: str) -> dict:
         return json.load(f)
 
 
-def verify(out_dir: str) -> None:
+def verify(out_dir: str, ref_dir: str = None) -> None:
     """Internal consistency of a (killed+resumed) run: dup-free routed keys,
-    manifest counter accounting, metrics total == per_turn rows."""
+    manifest counter accounting, metrics total == per_turn rows.  With
+    ``ref_dir`` (an uninterrupted run of the same corpus), a run that
+    resumed partitions must have shipped fewer exchange bytes than it: a
+    committed partition never rides the exchange."""
     import duckdb
 
     m = _load_manifest(out_dir)
+    if ref_dir is not None and m["resumed_partitions"] > 0:
+        ref_bytes = _load_manifest(ref_dir)["exchange_bytes"]
+        assert m["exchange_bytes"] < ref_bytes, (
+            f"resumed run shipped {m['exchange_bytes']} exchange bytes, not "
+            f"fewer than the full run's {ref_bytes}: committed partitions "
+            "went through the exchange"
+        )
     con = duckdb.connect()
     pt = os.path.join(out_dir, "per_turn", "*.parquet")
     total, distinct = con.execute(
@@ -196,6 +209,7 @@ def verify(out_dir: str) -> None:
                 "rows_rate_limited": m["rows_rate_limited"],
                 "rows_deduped": m["rows_deduped"],
                 "resumed_partitions": m["resumed_partitions"],
+                "exchange_bytes": m["exchange_bytes"],
                 "committed_partitions": parts,
                 "turns_per_sec": m["turns_per_sec"],
             }
@@ -217,6 +231,8 @@ def compare(a: str, b: str) -> None:
                 "view_counts": ma["view_counts"],
                 "a_resumed": ma["resumed_partitions"],
                 "b_resumed": mb["resumed_partitions"],
+                "a_exchange_bytes": ma["exchange_bytes"],
+                "b_exchange_bytes": mb["exchange_bytes"],
             }
         )
     )
@@ -230,6 +246,7 @@ def main() -> None:
     r.add_argument("--out", required=True)
     v = sub.add_parser("verify")
     v.add_argument("--out", required=True)
+    v.add_argument("--b", help="an uninterrupted run of the same corpus")
     c = sub.add_parser("compare")
     c.add_argument("--a", required=True)
     c.add_argument("--b", required=True)
@@ -239,7 +256,7 @@ def main() -> None:
     elif args.cmd == "run":
         run(args.out)
     elif args.cmd == "verify":
-        verify(args.out)
+        verify(args.out, args.b)
     else:
         compare(args.a, args.b)
 
