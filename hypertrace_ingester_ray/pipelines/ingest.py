@@ -6,7 +6,8 @@ HypertraceIngester.java:52-77), where consecutive jobs share in-memory streams
 instead of Kafka round-trips (SpanNormalizer.java:55-61).  Here the whole
 chain runs as ONE direct hash exchange (one all-to-all shuffle):
 
-  exchange map task, one per input group (~2 groups/CPU):
+  exchange map task, one per input group (~2 groups/CPU, each at most
+  one Ray Data block's bytes of row groups):
     read Parquet files (a path input) or take one Ray Data block
     → prep_main_batch: poison drop (counted), normalize_light, keep-main
                                                    # span-normalizer (narrow rows)
@@ -81,15 +82,20 @@ from ray.data import Dataset
 from .. import schemas
 from ..enrichers import build_default_registry
 from ..enrichers.base import ConversationContext
+from ..sources.parquet import ParquetFileGroup, parquet_file_groups
 from ..stages.grouping import (
     DEFAULT_NUM_PARTITIONS,
+    _arrow_block,
+    _map_sources,
     assemble_conversations,
     bucketed_reduce,
     group_apply_batches,
 )
 from ..stages.filters import RateLimitConfig
 from ..stages.normalize import (
+    POISON_COLUMNS,
     NormalizeConfig,
+    drop_poison_rows,
     normalize,
     prep_main_batch,
     split_bypass,
@@ -579,6 +585,31 @@ def _read_normalized(input_path_or_ds, config: "PipelineConfig"):
     return split_bypass(ds, config.normalize)
 
 
+def _poison_rows(src) -> int:
+    """The rows of one map source :func:`drop_poison_rows` removes: a
+    Parquet file group (only ``POISON_COLUMNS`` are read) or a Ray Data
+    block of those columns."""
+    if isinstance(src, ParquetFileGroup):
+        t = src.read(list(POISON_COLUMNS))
+    else:
+        t = _arrow_block(src)
+    return t.num_rows - drop_poison_rows(t).num_rows
+
+
+def _count_poison(input_path_or_ds, config: "PipelineConfig") -> int:
+    """The input's poison rows (a NULL ``conv_id``, ``turn_idx`` or ``ts``),
+    one task per map source over those three columns: the bucketed-corpus
+    writer drops them inside Ray Data, which has no counter."""
+    if isinstance(input_path_or_ds, Dataset):
+        sources = _map_sources(
+            input_path_or_ds.select_columns(list(POISON_COLUMNS))
+        )
+    else:
+        sources = parquet_file_groups(input_path_or_ds, _read_num_blocks(config))
+    task = ray.remote(_poison_rows)
+    return int(sum(ray.get([task.remote(src) for src in sources])))
+
+
 def _input_fingerprint(input_path_or_ds) -> dict:
     """Identity record for a prepare input: for a path input, a CRC over
     the sorted (name, size) list of its parquet files — enough to catch
@@ -636,7 +667,11 @@ def prepare_bucketed_corpus(
     input files, an unverifiable Dataset input, or a dir with no identity
     record — raises, because write_bucketed's resume manifests would
     silently keep stale buckets.  ``overwrite=True`` wipes the dir and
-    rebuilds."""
+    rebuilds.
+
+    The input's poison rows (dropped, as in a direct run) are counted and
+    kept in the dir's ``_bucket_meta.json`` as ``rows_poison``, which every
+    replay reports."""
     import json
 
     from ..stages.sinks import write_bucketed
@@ -675,6 +710,14 @@ def prepare_bucketed_corpus(
             shutil.rmtree(tmp, ignore_errors=True)
             bypass.write_parquet(tmp)
             os.rename(tmp, bp)
+    summary["rows_poison"] = _count_poison(input_path_or_ds, config)
+    meta_path = os.path.join(bucket_dir, meta_name)
+    with open(meta_path) as f:
+        meta = json.load(f)
+    meta["rows_poison"] = summary["rows_poison"]
+    with open(meta_path + ".tmp", "w") as f:
+        json.dump(meta, f)
+    os.replace(meta_path + ".tmp", meta_path)
     return summary
 
 
@@ -752,8 +795,6 @@ def run_pipeline(
         if isinstance(input_path_or_ds, Dataset):
             source = input_path_or_ds
         else:
-            from ..sources.parquet import parquet_file_groups
-
             source = parquet_file_groups(
                 input_path_or_ds, _read_num_blocks(config)
             )
@@ -799,9 +840,11 @@ def run_pipeline(
         stats_refs = bucketed_reduce(
             [main_dir], batch_task, sort_by=["turn_idx", "ts"], skip=skip
         )
-        # the exchange ran, and dropped the poison rows, when the corpus
-        # was bucketed
-        totals = {"exchange_bytes": 0, "rows_dropped": 0}
+        # the poison rows were dropped, and counted, when the corpus was
+        # bucketed (None: a corpus prepared before the count was kept)
+        with open(os.path.join(bucketed_corpus, "_bucket_meta.json")) as f:
+            rows_poison = json.load(f).get("rows_poison")
+        totals = {"exchange_bytes": 0, "rows_dropped": rows_poison}
     else:
         stats_refs, totals = group_apply_batches(
             source,
@@ -875,7 +918,8 @@ def run_pipeline(
         "rows_no_tenant": int(stats["rows_no_tenant"].sum()),
         "rows_rate_limited": int(stats["rows_rate_limited"].sum()),
         # rows with a NULL conv_id, turn_idx or ts, dropped before the
-        # exchange (stages.normalize.drop_poison_rows)
+        # exchange (stages.normalize.drop_poison_rows); a replay reports
+        # the count its corpus recorded
         "rows_poison": totals["rows_dropped"],
         "view_counts": {
             v: int(stats[f"rows_{v}"].sum()) for v in VIEW_BUILDERS

@@ -191,15 +191,17 @@ def needs_extraction_for_rules(config: NormalizeConfig) -> bool:
     return False
 
 
+#: The columns a row needs non-null to be grouped and ordered.
+POISON_COLUMNS = ("conv_id", "turn_idx", "ts")
+
+
 def drop_poison_rows(batch: pa.Table) -> pa.Table:
     """Poison-pill policy (JaegerSpanPreProcessor.java:88-96 swallows bad
     records and counts them, never failing the job): rows with a null
-    grouping key, turn index or timestamp cannot be ordered or grouped —
-    drop them instead of corrupting the shuffle."""
-    mask = pc.and_(
-        pc.and_(pc.is_valid(batch["conv_id"]), pc.is_valid(batch["turn_idx"])),
-        pc.is_valid(batch["ts"]),
-    )
+    grouping key, turn index or timestamp (``POISON_COLUMNS``) cannot be
+    ordered or grouped — drop them instead of corrupting the shuffle."""
+    conv_id, turn_idx, ts = (pc.is_valid(batch[c]) for c in POISON_COLUMNS)
+    mask = pc.and_(pc.and_(conv_id, turn_idx), ts)
     if pc.all(mask).as_py():
         return batch
     return batch.filter(mask)
@@ -212,8 +214,8 @@ def normalize_light_batch(
 
     The grok extraction runs post-shuffle (extract_batch) so the all-to-all
     exchange moves ~40% fewer bytes per row — extraction output is derived
-    data and cheaper to recompute after the move than to ship."""
-    batch = drop_poison_rows(batch)
+    data and cheaper to recompute after the move than to ship.  The caller
+    drops the poison rows first (:func:`drop_poison_rows`)."""
     # tenant_id is a per-pipeline CONSTANT (M2 tenant resolution): shipping
     # it as a materialized string column costs ~110 MB per 6M rows through
     # the exchange for zero information.  It is reconstructed post-shuffle
@@ -403,8 +405,8 @@ def normalize_batch(batch: pa.Table, config: NormalizeConfig = NormalizeConfig()
     Drop rules are applied AFTER extraction (on the full NORMALIZED_TURNS
     layout) so rules may reference grok-extracted columns — this is the
     heavy path ``needs_extraction_for_rules`` selects; light-column rules
-    filter identically on either side of the projection."""
-    batch = drop_poison_rows(batch)
+    filter identically on either side of the projection.  The caller drops
+    the poison rows first (:func:`drop_poison_rows`)."""
     n = batch.num_rows
     f = _parse_text_fields(batch["text"], n)
     http_method = f["http_method"]
@@ -459,13 +461,13 @@ def normalize_batch(batch: pa.Table, config: NormalizeConfig = NormalizeConfig()
 
 
 def normalize(ds: Dataset, config: NormalizeConfig = NormalizeConfig()) -> Dataset:
-    return ds.map_batches(
+    return ds.map_batches(drop_poison_rows, batch_format="pyarrow").map_batches(
         normalize_batch, batch_format="pyarrow", fn_kwargs={"config": config}
     )
 
 
 def normalize_light(ds: Dataset, config: NormalizeConfig = NormalizeConfig()) -> Dataset:
-    return ds.map_batches(
+    return ds.map_batches(drop_poison_rows, batch_format="pyarrow").map_batches(
         normalize_light_batch, batch_format="pyarrow", fn_kwargs={"config": config}
     )
 

@@ -1,7 +1,8 @@
 """Path inputs: the exchange's map tasks read Parquet file groups themselves
 (no Ray Data read stage), so a run over a path must equal the run over
-``ray.data.read_parquet`` of the same path, row for row and byte for byte;
-and the rows the poison-row policy drops are counted."""
+``ray.data.read_parquet`` of the same path, row for row and byte for byte,
+with each map task's input bounded in bytes; and the rows the poison-row
+policy drops are counted."""
 
 import glob
 import json
@@ -14,7 +15,11 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
 
-from hypertrace_ingester_ray.pipelines.ingest import PipelineConfig, run_pipeline
+from hypertrace_ingester_ray.pipelines.ingest import (
+    PipelineConfig,
+    prepare_bucketed_corpus,
+    run_pipeline,
+)
 from hypertrace_ingester_ray.sources.parquet import parquet_file_groups
 from hypertrace_ingester_ray.sources.transcripts import write_synthetic_transcripts
 from hypertrace_ingester_ray.stages.normalize import NormalizeConfig
@@ -134,3 +139,49 @@ def test_poison_rows_are_counted(flat, tmp_path):
     again = run_pipeline(str(d), out, cfg)
     assert again["resumed_partitions"] == again["num_partitions"]
     assert again["rows_poison"] == n_null
+    # a bucketed corpus counts them once, when it is prepared; every
+    # replay reports that count
+    bucket_dir = str(tmp_path / "buckets")
+    assert prepare_bucketed_corpus(str(d), bucket_dir, cfg)["rows_poison"] == n_null
+    replay = run_pipeline(None, str(tmp_path / "replay"), cfg,
+                          bucketed_corpus=bucket_dir)
+    assert replay["rows_poison"] == n_null
+    assert replay["rows_in"] == s["rows_in"]
+
+
+def test_groups_are_bounded_by_bytes(flat, tmp_path, monkeypatch):
+    """A map task reads at most Ray Data's ``target_max_block_size`` of
+    row groups (or one larger row group): big inputs are cut at file and
+    row-group boundaries, in listing order, every row group exactly once,
+    and the run over the cut groups equals the Ray Data run."""
+    from ray.data import DataContext
+
+    d = tmp_path / "row_groups"
+    d.mkdir()
+    for f in sorted(glob.glob(os.path.join(flat, "*.parquet"))):
+        pq.write_table(pq.read_table(f), str(d / os.path.basename(f)),
+                       row_group_size=40)
+    files = sorted(glob.glob(str(d / "*.parquet")))
+    sizes = {
+        f: [pq.ParquetFile(f).metadata.row_group(i).total_byte_size
+            for i in range(pq.ParquetFile(f).metadata.num_row_groups)]
+        for f in files
+    }
+    assert min(len(v) for v in sizes.values()) > 2
+    limit = 3 * max(max(v) for v in sizes.values())
+
+    ctx = DataContext.get_current()
+    monkeypatch.setattr(ctx, "target_max_block_size", 10**12)
+    # below the bound nothing is cut: two groups, as counted
+    assert len(parquet_file_groups(str(d), 2)) == 2
+    monkeypatch.setattr(ctx, "target_max_block_size", limit)
+    groups = parquet_file_groups(str(d), 2)
+    seen = []
+    for g in groups:
+        pieces = [(p, rgs if rgs is not None else range(len(sizes[p])))
+                  for p, rgs, _ in g.files]
+        assert sum(sizes[p][i] for p, rgs in pieces for i in rgs) <= limit
+        seen += [(p, i) for p, rgs in pieces for i in rgs]
+    assert seen == [(f, i) for f in files for i in range(len(sizes[f]))]
+    assert len(groups) > len(files)
+    _parity(str(d), tmp_path, PipelineConfig(num_partitions=P))

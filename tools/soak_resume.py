@@ -14,11 +14,11 @@ no duplicate and no missing routed rows):
     # 3. run B uninterrupted
     python tools/soak_resume.py run --out /dev/shm/soakB
 
-    # 4. verify A internally (dup-free keys, counter accounting, metrics;
-    #    with --b, a resume ships fewer exchange bytes than B's full run)
-    python tools/soak_resume.py verify --out /dev/shm/soakA --b /dev/shm/soakB
+    # 4. verify A internally (dup-free keys, counter accounting, metrics)
+    python tools/soak_resume.py verify --out /dev/shm/soakA
 
-    # 5. compare view_counts A == B (no missing rows)
+    # 5. compare view_counts A == B (no missing rows); a resumed A must
+    #    ship fewer exchange bytes than B's full run
     python tools/soak_resume.py compare --a /dev/shm/soakA --b /dev/shm/soakB
 
 Ray starts with ``os.cpu_count()`` CPUs (``RAY_GRAFT_CPUS`` overrides) and
@@ -158,22 +158,12 @@ def _load_manifest(out_dir: str) -> dict:
         return json.load(f)
 
 
-def verify(out_dir: str, ref_dir: str = None) -> None:
+def verify(out_dir: str) -> None:
     """Internal consistency of a (killed+resumed) run: dup-free routed keys,
-    manifest counter accounting, metrics total == per_turn rows.  With
-    ``ref_dir`` (an uninterrupted run of the same corpus), a run that
-    resumed partitions must have shipped fewer exchange bytes than it: a
-    committed partition never rides the exchange."""
+    manifest counter accounting, metrics total == per_turn rows."""
     import duckdb
 
     m = _load_manifest(out_dir)
-    if ref_dir is not None and m["resumed_partitions"] > 0:
-        ref_bytes = _load_manifest(ref_dir)["exchange_bytes"]
-        assert m["exchange_bytes"] < ref_bytes, (
-            f"resumed run shipped {m['exchange_bytes']} exchange bytes, not "
-            f"fewer than the full run's {ref_bytes}: committed partitions "
-            "went through the exchange"
-        )
     con = duckdb.connect()
     pt = os.path.join(out_dir, "per_turn", "*.parquet")
     total, distinct = con.execute(
@@ -218,12 +208,22 @@ def verify(out_dir: str, ref_dir: str = None) -> None:
 
 
 def compare(a: str, b: str) -> None:
+    """Run A (killed and resumed) routed the same rows as run B (one
+    uninterrupted run of the same corpus).  When A's last run resumed
+    partitions and B's did not, A must also have shipped fewer exchange
+    bytes than B: a committed partition never rides the exchange."""
     ma, mb = _load_manifest(a), _load_manifest(b)
     assert ma["view_counts"] == mb["view_counts"], (
         f"view_counts differ:\nA={ma['view_counts']}\nB={mb['view_counts']}"
     )
     for k in ("rows_in", "rows_deduped", "rows_no_tenant", "rows_rate_limited"):
         assert ma[k] == mb[k], f"{k}: {ma[k]} != {mb[k]}"
+    if ma["resumed_partitions"] > 0 and mb["resumed_partitions"] == 0:
+        assert ma["exchange_bytes"] < mb["exchange_bytes"], (
+            f"resumed run A shipped {ma['exchange_bytes']} exchange bytes, "
+            f"not fewer than run B's {mb['exchange_bytes']}: committed "
+            "partitions went through the exchange"
+        )
     print(
         json.dumps(
             {
@@ -246,7 +246,6 @@ def main() -> None:
     r.add_argument("--out", required=True)
     v = sub.add_parser("verify")
     v.add_argument("--out", required=True)
-    v.add_argument("--b", help="an uninterrupted run of the same corpus")
     c = sub.add_parser("compare")
     c.add_argument("--a", required=True)
     c.add_argument("--b", required=True)
@@ -256,7 +255,7 @@ def main() -> None:
     elif args.cmd == "run":
         run(args.out)
     elif args.cmd == "verify":
-        verify(args.out, args.b)
+        verify(args.out)
     else:
         compare(args.a, args.b)
 
