@@ -177,63 +177,80 @@ class SpaceEnricher(Enricher):
 
 _PEER_PAIRS = pa.schema([("tool", pa.string()), ("service", pa.string())])
 
+#: The columns :func:`peer_pairs` reads.
+PEER_COLUMNS = ("conv_id", "turn_idx", "tool", "role")
 
-def build_peer_index(normalized_ds, *, max_entries: int = 1_000_000) -> Dict[str, str]:
-    """Pass 1: build the small (tool → first caller service) map — the analog
-    of client spans publishing ``ip-identity → service_name`` to the shared
-    store (RawSpansProcessor.java:249-345).  Each block reduces to its
-    distinct tools with their smallest caller; those partials (at most one
-    row per tool per block) merge on the driver.  With more than
-    ``max_entries`` tools, the smallest tool names are kept."""
 
-    def pairs(batch: pa.Table) -> pa.Table:
-        # The CALLER of a tool turn is the preceding turn's service in the
-        # same conversation (the client span publishing its identity) — not
-        # the tool row itself (which would make the index an identity map,
-        # ADVICE r1).  Lag-1 within the batch after an in-batch sort; pairs
-        # whose caller falls in another block are simply not observed, which
-        # is fine for a first-writer-wins identity map.
-        need = batch.select(["conv_id", "turn_idx", "tool", "role"])
-        idx = pa.compute.sort_indices(
-            need,
-            sort_keys=[("conv_id", "ascending"), ("turn_idx", "ascending")],
-        )
-        t = need.take(idx)
-        conv = t["conv_id"].to_numpy(zero_copy_only=False)
-        # same derivation ServiceNamer uses (coalesce(tool, role)); computed
-        # here because the light-normalized pre-shuffle rows are narrow
-        svc = (
-            pa.compute.coalesce(t["tool"], t["role"])
-            .to_numpy(zero_copy_only=False)
-        )
-        is_tool = pa.compute.is_valid(t["tool"]).to_numpy(zero_copy_only=False)
-        n = len(conv)
-        if n == 0:
-            return _PEER_PAIRS.empty_table()
-        same_conv = np.concatenate([[False], conv[1:] == conv[:-1]])
-        keep = is_tool & same_conv
-        prev_svc = np.concatenate([[None], svc[:-1]])
-        out = pa.table(
-            {
-                "tool": t["tool"].filter(pa.array(keep)),
-                "service": pa.array(prev_svc[keep], pa.string()),
-            }
-        )
-        return (
-            out.group_by(["tool"])
-            .aggregate([("service", "min")])
-            .rename_columns(["tool", "service"])
-        )
+def peer_pairs(table: pa.Table) -> pa.Table:
+    """Pass 1 over one table of normalized turns: its distinct tools, each
+    with the smallest service that called it (at most one row per tool).
 
-    rows = normalized_ds.map_batches(pairs, batch_format="pyarrow").take_all()
+    The CALLER of a tool turn is the preceding turn's service in the same
+    conversation (the client span publishing its identity) — not the tool
+    row itself (which would make the index an identity map, ADVICE r1).
+    Lag-1 within the table after a sort; a caller that sits in another
+    table is not observed (see :func:`build_peer_index`)."""
+    if table.num_rows == 0:
+        return _PEER_PAIRS.empty_table()
+    t = table.select(list(PEER_COLUMNS)).sort_by(
+        [("conv_id", "ascending"), ("turn_idx", "ascending")]
+    )
+    conv = t["conv_id"].to_numpy(zero_copy_only=False)
+    # same derivation ServiceNamer uses (coalesce(tool, role)); computed
+    # here because the light-normalized pre-shuffle rows are narrow
+    svc = pa.compute.coalesce(t["tool"], t["role"]).to_numpy(zero_copy_only=False)
+    is_tool = pa.compute.is_valid(t["tool"]).to_numpy(zero_copy_only=False)
+    same_conv = np.concatenate([[False], conv[1:] == conv[:-1]])
+    keep = is_tool & same_conv
+    prev_svc = np.concatenate([[None], svc[:-1]])
+    out = pa.table(
+        {
+            "tool": t["tool"].filter(pa.array(keep)),
+            "service": pa.array(prev_svc[keep], pa.string()),
+        }
+    )
+    return (
+        out.group_by(["tool"])
+        .aggregate([("service", "min")])
+        .rename_columns(["tool", "service"])
+        .cast(_PEER_PAIRS)
+    )
+
+
+def merge_peer_partials(
+    partials: Sequence[pa.Table], max_entries: int = 1_000_000
+) -> Dict[str, str]:
+    """The peer index from :func:`peer_pairs` partials: per tool, the
+    smallest caller over all of them; with more than ``max_entries`` tools,
+    the smallest tool names are kept."""
     index = (
-        pa.Table.from_pylist(rows, schema=_PEER_PAIRS)
+        pa.concat_tables([_PEER_PAIRS.empty_table(), *partials])
         .group_by("tool")
         .aggregate([("service", "min")])
         .sort_by("tool")
         .slice(0, max_entries)
     )
     return dict(zip(index["tool"].to_pylist(), index["service_min"].to_pylist()))
+
+
+def build_peer_index(normalized_ds, *, max_entries: int = 1_000_000) -> Dict[str, str]:
+    """Pass 1: build the small (tool → first caller service) map — the analog
+    of client spans publishing ``ip-identity → service_name`` to the shared
+    store (RawSpansProcessor.java:249-345).  Each block reduces to its
+    distinct tools with their smallest caller (:func:`peer_pairs`); those
+    partials merge on the driver (:func:`merge_peer_partials`).
+    ``run_pipeline`` runs the same two steps in plain tasks over Parquet
+    file groups; this wrapper serves Dataset inputs.
+
+    Exactness: a pair is seen only when a tool turn and its preceding turn
+    sit in the same block.  A bucketed replay reads whole buckets, and every
+    conversation sits whole in one bucket, so its index is exact.  A path
+    input's file groups (and a Dataset's blocks) can split a conversation
+    that spans files, and then the pairs across the split are not seen."""
+    rows = normalized_ds.map_batches(peer_pairs, batch_format="pyarrow").take_all()
+    return merge_peer_partials(
+        [pa.Table.from_pylist(rows, schema=_PEER_PAIRS)], max_entries
+    )
 
 
 class PeerServiceEnricher(Enricher):

@@ -59,8 +59,12 @@ the rerun's batch plan differs (state/lineage.py).  As a Kafka consumer
 resumes from its committed offsets, a committed partition is never
 shipped again: its stats row is built from its manifest on the driver.
 
-The bypass side output and the ``peer_correlation`` index pre-pass read
-the input through Ray Data (``_read_normalized``), as before.
+The ``peer_correlation`` index pre-pass runs in plain tasks too, one per
+Parquet file group (``_build_peer_index``): a bucketed replay reads the four
+pair columns of its stored buckets, and a path input's tasks read the
+exchange's file groups and prep them as its map tasks do.  Only the bypass
+side output, a Dataset input's peer index and ``prepare_bucketed_corpus``
+still read the input through Ray Data (``_read_normalized``).
 """
 
 from __future__ import annotations
@@ -323,6 +327,9 @@ def process_partitions(
 # EnrichmentProcessor analog, StructuredTraceEnrichProcessor.java:38-61).
 # Ray worker processes are reused across tasks, so the build cost is paid
 # once per worker, exactly like an actor __init__ — without reserving CPUs.
+# Keyed by config and peer index (not the out dir, which each call names),
+# and holding only the latest key: with ``peer_correlation`` every entry
+# carries its own copy of an index of up to a million entries.
 _WORKER_PROCESSORS: Dict[str, "PartitionProcessor"] = {}
 
 
@@ -390,7 +397,7 @@ class PartitionProcessor:
 
     def __init__(
         self,
-        out_dir: str,
+        out_dir: Optional[str],
         config: Optional["PipelineConfig"] = None,
         peer_index: Optional[Dict[str, str]] = None,
     ):
@@ -409,15 +416,17 @@ class PartitionProcessor:
             return _stats_row(part_id, existing, resumed=True)
         return self.process_batch([(part_id, part)])
 
-    def process_batch(self, parts) -> pa.Table:
+    def process_batch(self, parts, out_dir: Optional[str] = None) -> pa.Table:
         """Partition stage over ``[(part_id, table), ...]`` (ascending
         part ids, none of them committed: the driver keeps committed
         partitions out of the exchange) in one call: they go through
         :func:`process_partitions` together and are written as ONE file
-        per sink, named by the first of them; then each is committed in
-        turn — the partition stays the unit of commit and resume.
-        Returns one stats row per partition."""
+        per sink under ``out_dir`` (default: the processor's), named by the
+        first of them; then each is committed in turn — the partition stays
+        the unit of commit and resume.  Returns one stats row per
+        partition."""
         cfg = self.config
+        out_dir = out_dir or self.out_dir
         views, stats = process_partitions(
             [part for _, part in parts],
             registry=self.registry,
@@ -433,15 +442,13 @@ class PartitionProcessor:
         )
         file_parts = [part_id for part_id, _ in parts]
         checksums = {
-            name: lineage.write_view_part(
-                self.out_dir, name, file_parts[0], tbl
-            )[1]
+            name: lineage.write_view_part(out_dir, name, file_parts[0], tbl)[1]
             for name, tbl in views.items()
         }
         rows = []
         for part_id, st in zip(file_parts, stats):
             lineage.commit_manifest(
-                self.out_dir,
+                out_dir,
                 part_id,
                 rows_in=st["rows_in"],
                 rows_deduped=st["rows_deduped"],
@@ -458,11 +465,13 @@ class PartitionProcessor:
         return pa.concat_tables(rows)
 
 
-def _cached_processor(out_dir, config, peer_index, cache_key):
-    """The processor (registry + extras) built once per worker process."""
+def _cached_processor(config, peer_index, cache_key):
+    """The processor (registry + extras) built once per worker process and
+    kept until a call brings another ``cache_key``."""
     proc = _WORKER_PROCESSORS.get(cache_key)
     if proc is None:
-        proc = PartitionProcessor(out_dir, config, peer_index)
+        _WORKER_PROCESSORS.clear()
+        proc = PartitionProcessor(None, config, peer_index)
         _WORKER_PROCESSORS[cache_key] = proc
     return proc
 
@@ -477,8 +486,8 @@ def _partition_batch_task(
 ):
     """Stateless-task form of the partition stage for one reduce batch of
     the direct exchange or of bucketed replay."""
-    return _cached_processor(out_dir, config, peer_index, cache_key).process_batch(
-        parts
+    return _cached_processor(config, peer_index, cache_key).process_batch(
+        parts, out_dir
     )
 
 
@@ -565,9 +574,10 @@ def _read_num_blocks(config: "PipelineConfig") -> int:
 
 def _read_normalized(input_path_or_ds, config: "PipelineConfig"):
     """read → normalize → bypass split through Ray Data: the bucketed-corpus
-    writer's pre-shuffle half, and the input of the direct run's side
-    branches (bypass output, peer index).  The direct run's own main stream
-    is read and normalized in its exchange map tasks."""
+    writer's pre-shuffle half, the direct run's bypass output, and a
+    Dataset input's main stream for the peer index.  The direct run's own
+    main stream, and a path input's or a replay's peer index, are read in
+    plain tasks over Parquet file groups."""
     if isinstance(input_path_or_ds, Dataset):
         ds = input_path_or_ds
     else:
@@ -608,6 +618,28 @@ def _count_poison(input_path_or_ds, config: "PipelineConfig") -> int:
         sources = parquet_file_groups(input_path_or_ds, _read_num_blocks(config))
     task = ray.remote(_poison_rows)
     return int(sum(ray.get([task.remote(src) for src in sources])))
+
+
+def _peer_partial(group: ParquetFileGroup, config: Optional[NormalizeConfig]):
+    """The peer index's pass 1 over one Parquet file group
+    (:func:`~..enrichers.extended.peer_pairs`): a group of stored buckets
+    (``config`` None: normalized rows, only the pair columns are read) or
+    of input files, prepped as the exchange's map task preps them."""
+    from ..enrichers.extended import PEER_COLUMNS, peer_pairs
+
+    if config is None:
+        return peer_pairs(group.read(list(PEER_COLUMNS)))
+    t = group.read()
+    return peer_pairs(prep_main_batch(t, config)[0] if t.num_rows else t)
+
+
+def _build_peer_index(groups, config: Optional[NormalizeConfig]) -> Dict[str, str]:
+    """The peer index in one plain task per file group, merged on the
+    driver — no Ray Data stage."""
+    from ..enrichers.extended import merge_peer_partials
+
+    task = ray.remote(_peer_partial)
+    return merge_peer_partials(ray.get([task.remote(g, config) for g in groups]))
 
 
 def _input_fingerprint(input_path_or_ds) -> dict:
@@ -765,8 +797,8 @@ def run_pipeline(
 
     t0 = time.perf_counter()
     phases = {}
-    # Ray Data reads of the input, for the side branches only: the bypass
-    # output and the peer index
+    # the Ray Data side branches: the bypass output, and for a Dataset
+    # input the peer index's normalized main stream
     main_ds = bypass = None
     if bucketed_corpus is not None:
         from ..stages.sinks import _load_bucket_meta
@@ -785,21 +817,20 @@ def run_pipeline(
             )
         bp_path = os.path.join(bucketed_corpus, "bypass")
         bypass = ray.data.read_parquet(bp_path) if os.path.exists(bp_path) else None
-        if config.peer_correlation:
-            # bucketed replay: scan the stored bucket files (no shuffle)
-            main_ds = ray.data.read_parquet(os.path.join(main_dir, "data"))
     else:
         # the exchange's map tasks read and normalize the main stream
         # themselves: a path input is split into file groups, a Dataset
         # input gives its blocks
         if isinstance(input_path_or_ds, Dataset):
             source = input_path_or_ds
+            if config.normalize.bypass_rules or config.peer_correlation:
+                main_ds, bypass = _read_normalized(input_path_or_ds, config)
         else:
             source = parquet_file_groups(
                 input_path_or_ds, _read_num_blocks(config)
             )
-        if config.normalize.bypass_rules or config.peer_correlation:
-            main_ds, bypass = _read_normalized(input_path_or_ds, config)
+            if config.normalize.bypass_rules:
+                bypass = _read_normalized(input_path_or_ds, config)[1]
 
     # optional G4/J2 pre-pass: small-side index built distributively, then
     # broadcast into the partition stage
@@ -807,7 +838,22 @@ def run_pipeline(
     if config.peer_correlation:
         from ..enrichers.extended import build_peer_index
 
-        peer_index = build_peer_index(main_ds)
+        t_peer = time.perf_counter()
+        if bucketed_corpus is not None:
+            # the stored buckets, already normalized: four columns each (a
+            # zero-row corpus has no bucket files)
+            data_dir = os.path.join(main_dir, "data")
+            groups = (
+                parquet_file_groups(data_dir, _read_num_blocks(config))
+                if os.path.isdir(data_dir) else []
+            )
+            peer_index = _build_peer_index(groups, None)
+        elif main_ds is not None:
+            peer_index = build_peer_index(main_ds)
+        else:
+            # the exchange's file groups, prepped as its map tasks prep them
+            peer_index = _build_peer_index(source, config.normalize)
+        phases["peer_index"] = round(time.perf_counter() - t_peer, 2)
 
     # S6 analog: write the sink schema manifest once at pipeline start
     # (the Pinot view-creator bootstrap job)
@@ -824,7 +870,7 @@ def run_pipeline(
     from functools import partial
 
     cache_key = hashlib.md5(
-        (out_dir + repr(config) + repr(sorted((peer_index or {}).items()))).encode()
+        (repr(config) + repr(sorted((peer_index or {}).items()))).encode()
     ).hexdigest()
     batch_task = partial(
         _partition_batch_task,
@@ -861,7 +907,9 @@ def run_pipeline(
         or [STATS_SCHEMA.empty_table()]
     ).to_pandas()
     reduce_tasks = len(stats_refs)
-    phases["main_stage"] = round(time.perf_counter() - t0, 2)
+    phases["main_stage"] = round(
+        time.perf_counter() - t0 - phases.get("peer_index", 0), 2
+    )
 
     # bypass side output (SpanNormalizer.java:66-70 routed branch)
     if bypass is not None:
@@ -894,7 +942,7 @@ def run_pipeline(
     # once the partials pass DISTRIBUTED_METRICS_THRESHOLD bytes.
     finalize_metrics(out_dir)
     phases["metrics_finalize"] = round(
-        time.perf_counter() - t0 - phases["main_stage"], 2
+        time.perf_counter() - t0 - sum(phases.values()), 2
     )
 
     # Zero-row runs route no partitions, so no sink dir was ever created —
@@ -932,6 +980,8 @@ def run_pipeline(
             "mean": float(stats["rows_in"].mean()) if len(stats) else 0.0,
         },
     }
+    if peer_index is not None:
+        summary["peer_index_entries"] = len(peer_index)
     lineage.write_run_manifest(out_dir, summary)
     return summary
 

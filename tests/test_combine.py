@@ -158,3 +158,33 @@ def test_no_sort_shuffle_left(no_sort_shuffle, sf_dir, tmp_path, monkeypatch,
     assert corpus.weighted_sample(docs, weight_col="n_chars", k=7).count() == 7
     q = sketches.sampled_quantiles(events, value_col="value", id_col="event_id", k=64)
     assert q.count() > 0
+
+
+def test_peer_index_without_ray_data(tmp_path, monkeypatch, ray_session):
+    """With ``peer_correlation``, a path-input run and a bucketed replay run
+    with ``ray.data.read_parquet`` and ``Dataset.map_batches`` refusing:
+    the peer index is built in plain tasks over Parquet file groups."""
+    from hypertrace_ingester_ray.pipelines import ingest
+    from hypertrace_ingester_ray.sources.transcripts import (
+        write_synthetic_transcripts,
+    )
+
+    src = str(tmp_path / "in")
+    write_synthetic_transcripts(src, n_convs=40, convs_per_file=10, seed=3)
+    cfg = ingest.PipelineConfig(num_partitions=4, peer_correlation=True)
+    bucket_dir = str(tmp_path / "corpus")
+    # preparing the corpus stays on Ray Data; the refusals start after it
+    ingest.prepare_bucketed_corpus(src, bucket_dir, cfg)
+
+    def _refuse(*args, **kwargs):
+        raise AssertionError("Ray Data used")
+
+    monkeypatch.setattr(ray.data, "read_parquet", _refuse)
+    monkeypatch.setattr(ray.data.Dataset, "map_batches", _refuse)
+    direct = ingest.run_pipeline(src, str(tmp_path / "direct"), cfg)
+    replay = ingest.run_pipeline(
+        None, str(tmp_path / "replay"), cfg, bucketed_corpus=bucket_dir
+    )
+    assert direct["peer_index_entries"] > 0
+    assert replay["peer_index_entries"] == direct["peer_index_entries"]
+    assert replay["view_counts"] == direct["view_counts"]

@@ -575,8 +575,8 @@ def test_bucketed_corpus_replay_matches_direct_run(
     def spy(parts, *, out_dir, config, peer_index, cache_key):
         with open(seen, "a") as f:
             f.write("".join(f"{p}\n" for p, _ in parts))
-        proc = ingest._cached_processor(out_dir, config, peer_index, cache_key)
-        return proc.process_batch(parts)
+        proc = ingest._cached_processor(config, peer_index, cache_key)
+        return proc.process_batch(parts, out_dir)
 
     monkeypatch.setattr(ingest, "_partition_batch_task", spy)
 

@@ -1,9 +1,11 @@
 """Path inputs: the exchange's map tasks read Parquet file groups themselves
 (no Ray Data read stage), so a run over a path must equal the run over
-``ray.data.read_parquet`` of the same path, row for row and byte for byte,
-with each map task's input bounded in bytes; and the rows the poison-row
-policy drops are counted."""
+``ray.data.read_parquet`` of the same path, row for row and byte for byte
+(with and without the peer-service index, which is built in plain tasks
+over the same file groups), with each map task's input bounded in bytes;
+and the rows the poison-row policy drops are counted."""
 
+import dataclasses
 import glob
 import json
 import os
@@ -51,15 +53,40 @@ def _checksums(out):
     return got
 
 
+def _peer_observed(summary, out, on):
+    """The peer pre-pass's phase and entry count appear in the summary and
+    the run manifest exactly when ``peer_correlation`` is on."""
+    with open(os.path.join(out, "_run_manifest.json")) as f:
+        manifest = json.load(f)
+    for s in (summary, manifest):
+        assert ("peer_index" in s["phases"]) == on
+        assert ("peer_index_entries" in s) == on
+    if on:
+        assert summary["phases"]["peer_index"] >= 0
+        assert manifest["peer_index_entries"] == summary["peer_index_entries"]
+
+
 def _parity(path, tmp_path, cfg):
+    """The path run equals the Dataset run, once as configured and once
+    with ``peer_correlation`` (every conversation of these inputs sits in
+    one file, so both build the exact index)."""
     import ray.data
 
-    by_path = run_pipeline(path, str(tmp_path / "path"), cfg)
-    by_ds = run_pipeline(ray.data.read_parquet(path), str(tmp_path / "ds"), cfg)
-    assert by_path["rows_in"] > 0
-    assert _summary(by_path) == _summary(by_ds)
-    assert _checksums(str(tmp_path / "path")) == _checksums(str(tmp_path / "ds"))
-    return by_path
+    for c in (cfg, dataclasses.replace(cfg, peer_correlation=True)):
+        tag = "peer" if c.peer_correlation else "plain"
+        outs = [str(tmp_path / f"{tag}_path"), str(tmp_path / f"{tag}_ds")]
+        by_path = run_pipeline(path, outs[0], c)
+        by_ds = run_pipeline(ray.data.read_parquet(path), outs[1], c)
+        assert by_path["rows_in"] > 0
+        assert _summary(by_path) == _summary(by_ds)
+        assert _checksums(outs[0]) == _checksums(outs[1])
+        for s, out in zip((by_path, by_ds), outs):
+            _peer_observed(s, out, c.peer_correlation)
+        if c.peer_correlation:
+            assert by_path["peer_index_entries"] > 0
+        else:
+            plain = by_path
+    return plain
 
 
 def test_flat_dir(flat, tmp_path):
@@ -84,7 +111,7 @@ def test_hive_dir_partition_column(flat, tmp_path):
         num_partitions=P, normalize=NormalizeConfig(tenant_column="tenant")
     )
     _parity(str(hive), tmp_path, cfg)
-    tenants = pq.read_table(str(tmp_path / "path" / "per_turn"))["tenant_id"]
+    tenants = pq.read_table(str(tmp_path / "plain_path" / "per_turn"))["tenant_id"]
     assert set(pc.unique(tenants).to_pylist()) == {"acme", "globex"}
 
 
@@ -185,3 +212,87 @@ def test_groups_are_bounded_by_bytes(flat, tmp_path, monkeypatch):
     assert seen == [(f, i) for f in files for i in range(len(sizes[f]))]
     assert len(groups) > len(files)
     _parity(str(d), tmp_path, PipelineConfig(num_partitions=P))
+
+
+def _oracle_peer_index(path):
+    """Per tool, the smallest service (``coalesce(tool, role)``) of the
+    turn before it in the same conversation, from the raw files in pandas."""
+    df = pq.read_table(path, columns=["conv_id", "turn_idx", "role", "tool"]
+                       ).to_pandas()
+    df = df.sort_values(["conv_id", "turn_idx"], kind="stable")
+    df["service"] = df["tool"].fillna(df["role"])
+    df["prev"] = df.groupby("conv_id")["service"].shift(1)
+    keep = df["tool"].notna() & df["prev"].notna()
+    return df[keep].groupby("tool")["prev"].min().to_dict()
+
+
+#: Two files of turns ``(conv_id, turn_idx, role, tool)``, each file's rows
+#: in reverse order.  Every tool's caller set is small and distinct, so
+#: pairing across conversations (``c2``'s first turn after ``c1``'s last),
+#: a row with itself, or taking the largest caller each changes the index.
+PEER_FILES = [
+    [("c1", 0, "m1", None), ("c1", 1, "tool", "x"), ("c1", 2, "b2", None),
+     ("c1", 3, "tool", "y"), ("c1", 4, "a1", None),
+     ("c2", 0, "tool", "y"), ("c2", 1, "a0", None)],
+    [("c3", 0, "k", None), ("c3", 1, "tool", "x"), ("c3", 2, "tool", "z"),
+     ("c4", 0, "c", None), ("c4", 1, "d", None), ("c4", 2, "tool", "z")],
+]
+PEER_INDEX = {"x": "k", "y": "b2", "z": "d"}
+
+
+def test_peer_index_replay_matches_direct_and_oracle(flat, tmp_path):
+    """The peer index a path run builds (over the exchange's file groups)
+    and the one a bucketed replay builds (over the stored buckets) both
+    equal a pandas oracle, and the replay routes the same
+    ``peer_service_name`` per turn as the direct run."""
+    import datetime
+
+    from hypertrace_ingester_ray.pipelines.ingest import _build_peer_index
+
+    cfg = PipelineConfig(num_partitions=P, peer_correlation=True)
+    assert _build_peer_index(
+        parquet_file_groups(flat, 3), cfg.normalize
+    ) == _oracle_peer_index(flat)
+
+    src = tmp_path / "peer_in"
+    src.mkdir()
+    t0 = datetime.datetime(2024, 1, 1)
+    for i, rows in enumerate(PEER_FILES):
+        conv, idx, role, tool = zip(*rows[::-1])
+        pq.write_table(pa.table({
+            "conv_id": pa.array(conv, pa.string()),
+            "turn_idx": pa.array(idx, pa.int32()),
+            "role": pa.array(role, pa.string()),
+            "text": pa.array(["GET /x HTTP/1.1 status=200"] * len(rows)),
+            "tool": pa.array(tool, pa.string()),
+            "ts": pa.array([t0 + datetime.timedelta(seconds=k) for k in idx],
+                           pa.timestamp("us")),
+        }), str(src / f"part-{i}.parquet"))
+    src = str(src)
+    oracle = _oracle_peer_index(src)
+    assert oracle == PEER_INDEX
+    assert _build_peer_index(parquet_file_groups(src, 2), cfg.normalize) == oracle
+
+    direct = run_pipeline(src, str(tmp_path / "direct"), cfg)
+    bucket_dir = str(tmp_path / "buckets")
+    prepare_bucketed_corpus(src, bucket_dir, cfg)
+    assert _build_peer_index(
+        parquet_file_groups(os.path.join(bucket_dir, "main", "data"), 3), None
+    ) == oracle
+    replay = run_pipeline(None, str(tmp_path / "replay"), cfg,
+                          bucketed_corpus=bucket_dir)
+    assert direct["peer_index_entries"] == replay["peer_index_entries"] == len(oracle)
+    _peer_observed(replay, str(tmp_path / "replay"), True)
+
+    def peers(out):
+        t = pq.read_table(os.path.join(out, "per_turn"),
+                          columns=["conv_id", "turn_idx", "tool",
+                                   "peer_service_name"])
+        return t.to_pandas().sort_values(["conv_id", "turn_idx"],
+                                         ignore_index=True)
+
+    a, b = peers(str(tmp_path / "direct")), peers(str(tmp_path / "replay"))
+    assert len(a) == sum(map(len, PEER_FILES))
+    assert a.equals(b)
+    tools = a[a["tool"].notna()]
+    assert (tools["peer_service_name"] == tools["tool"].map(oracle)).all()

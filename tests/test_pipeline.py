@@ -502,3 +502,56 @@ def test_combined_round4_config_features(tmp_path, sf_dir):
     s2 = run_pipeline(ds, out, cfg)
     assert s2["resumed_partitions"] == 8
     assert s2["view_counts"] == s["view_counts"]
+
+
+def test_worker_processor_cache_is_keyed_by_config(tmp_path, sf_dir, monkeypatch):
+    """The per-worker processor cache does not grow with out dirs: two
+    runs with one config into two out dirs use one cache key, two reduce
+    batches with one key into two out dirs share one processor, and each
+    batch is written under its own out dir."""
+    import pyarrow as pa
+
+    from hypertrace_ingester_ray.pipelines import ingest
+    from hypertrace_ingester_ray.stages.normalize import normalize_batch
+    from hypertrace_ingester_ray.state import lineage
+
+    part = normalize_batch(
+        pa.table(
+            {
+                "conv_id": pa.array(["a", "a"], pa.string()),
+                "turn_idx": pa.array([0, 1], pa.int32()),
+                "role": pa.array(["user", "assistant"], pa.string()),
+                "text": pa.array(["GET /x HTTP/1.1 status=200"] * 2, pa.string()),
+                "tool": pa.array([None, None], pa.string()),
+                "ts": pa.array([10, 20], pa.timestamp("us")),
+            }
+        )
+    )
+    cfg = ingest.PipelineConfig(num_partitions=2)
+    ingest._WORKER_PROCESSORS.clear()
+    outs = [str(tmp_path / "a"), str(tmp_path / "b")]
+    for out in outs:
+        stats = ingest._partition_batch_task(
+            [(1, part)], out_dir=out, config=cfg, peer_index=None, cache_key="k"
+        )
+        assert stats["rows_per_turn"].to_pylist() == [2]
+        assert os.path.exists(lineage.manifest_path(out, 1))
+    assert len(ingest._WORKER_PROCESSORS) == 1
+    # a new key replaces the cached processor instead of adding one
+    ingest._partition_batch_task(
+        [(0, part)], out_dir=outs[0], config=cfg, peer_index={}, cache_key="k2"
+    )
+    assert list(ingest._WORKER_PROCESSORS) == ["k2"]
+
+    keys = tmp_path / "cache_keys.txt"
+    task = ingest._partition_batch_task
+
+    def spy(parts, *, cache_key, **kwargs):
+        with open(keys, "a") as f:
+            f.write(cache_key + "\n")
+        return task(parts, cache_key=cache_key, **kwargs)
+
+    monkeypatch.setattr(ingest, "_partition_batch_task", spy)
+    for out in ("run_a", "run_b"):
+        run_pipeline(transcripts_from_events(sf_dir), str(tmp_path / out), cfg)
+    assert len(set(keys.read_text().split())) == 1
