@@ -1376,7 +1376,31 @@ def _brand_revenue_auto(sf_dir: str):
     )
 
 
-def _events_zorder_scan(sf_dir: str):
+def _in_scratch_dir(prefix: str):
+    """Run a query body as ``body(sf_dir, base)`` with ``base`` a fresh
+    temporary dir for the layout it writes, removed once the body returns.
+    The bodies return materialized results (``combine_by_key`` and
+    ``bucketed_group_apply`` fetch their reduce outputs before returning),
+    so nothing reads the layout afterwards."""
+
+    def wrap(body):
+        @_functools.wraps(body)
+        def run(sf_dir: str):
+            import tempfile
+
+            base = tempfile.mkdtemp(prefix=prefix)
+            try:
+                return body(sf_dir, base)
+            finally:
+                shutil.rmtree(base, ignore_errors=True)
+
+        return run
+
+    return wrap
+
+
+@_in_scratch_dir("htr_zorder_")
+def _events_zorder_scan(sf_dir: str, base: str):
     """Range-scoped aggregate over a Z-ORDERED events layout
     (stages/sinks.write_zordered): events are clustered by the Morton
     interleave of (user_id, value_cents), the read is zone-pruned on
@@ -1384,7 +1408,6 @@ def _events_zorder_scan(sf_dir: str):
     exactly filtered on BOTH columns and aggregated by event_type.  Oracle
     = the plain SQL filter-aggregate, so the layout round-trip — quantize,
     interleave, range-cut, prune, exact filter — is value-checked."""
-    import tempfile
 
     import pyarrow as pa
     import pyarrow.compute as pc
@@ -1394,7 +1417,6 @@ def _events_zorder_scan(sf_dir: str):
         write_zordered,
     )
 
-    base = tempfile.mkdtemp(prefix="htr_zorder_")
     ev = _rpq(
         os.path.join(sf_dir, "events.parquet"),
         columns=["user_id", "event_type", "value"],
@@ -1447,14 +1469,14 @@ def _events_zorder_scan(sf_dir: str):
     )
 
 
-def _smb_user_stats(sf_dir: str):
+@_in_scratch_dir("htr_smbg_")
+def _smb_user_stats(sf_dir: str, base: str):
     """Per-user event stats computed with ZERO shuffle from a bucketed
     layout: events are written once via stages/sinks.write_bucketed
     (user-hash bucket files, the pre-paid exchange), then
     bucketed_group_apply reads each bucket as a complete-key-group
     partition — no exchange at query time.  Oracle = plain GROUP BY, so
     the layout + zero-shuffle grouping round-trip is value-checked."""
-    import tempfile
 
     import pyarrow as pa
     import pyarrow.compute as pc
@@ -1464,7 +1486,6 @@ def _smb_user_stats(sf_dir: str):
         write_bucketed,
     )
 
-    base = tempfile.mkdtemp(prefix="htr_smbg_")
     ev = _rpq(
         os.path.join(sf_dir, "events.parquet"),
         columns=["user_id", "event_id", "value"],
@@ -1516,7 +1537,8 @@ def _smb_user_stats(sf_dir: str):
     )
 
 
-def _incremental_contamination(sf_dir: str):
+@_in_scratch_dir("htr_contam_")
+def _incremental_contamination(sf_dir: str, base: str):
     """Incremental contamination check against a STORED fingerprint index:
     the base corpus's winnowed fingerprints are written once as a bucketed
     table (stages/sinks.write_bucketed on fp — the index); each new-doc
@@ -1525,7 +1547,6 @@ def _incremental_contamination(sf_dir: str):
     ZERO shuffle of the index side.  This is the grow-only corpus shape:
     checking N new docs never re-shuffles the 100-TB index.  Output
     (new_id, base_id, n_shared) = shared-fingerprint counts."""
-    import tempfile
 
     import pyarrow as pa
 
@@ -1535,7 +1556,6 @@ def _incremental_contamination(sf_dir: str):
         write_bucketed,
     )
 
-    base = tempfile.mkdtemp(prefix="htr_contam_")
     docs = _docs(sf_dir)
     new_docs = _docs_v2(sf_dir).filter(expr="doc_id >= 100000").map_batches(
         lambda t: pa.table({"new_id": t["doc_id"], "text": t["text"]}),
@@ -1584,14 +1604,14 @@ def _incremental_contamination(sf_dir: str):
     )
 
 
-def _smb_segment_revenue(sf_dir: str):
+@_in_scratch_dir("htr_smb_")
+def _smb_segment_revenue(sf_dir: str, base: str):
     """Revenue per market segment through a SORTED-BUCKET (SMB) join:
     customer and orders are first written as co-bucketed tables
     (stages/sinks.write_bucketed — the exchange is pre-paid once at write
     time), then joined bucket-by-bucket with ZERO shuffle
     (stages/sinks.bucketed_join).  Oracle = the plain SQL join aggregate,
     so the layout round-trip is value-checked end to end."""
-    import tempfile
 
     import pyarrow as pa
     import pyarrow.compute as pc
@@ -1601,7 +1621,6 @@ def _smb_segment_revenue(sf_dir: str):
         write_bucketed,
     )
 
-    base = tempfile.mkdtemp(prefix="htr_smb_")
     cust = _rpq(
         os.path.join(sf_dir, "customer.parquet"),
         columns=["c_custkey", "c_mktsegment"],

@@ -59,12 +59,15 @@ the rerun's batch plan differs (state/lineage.py).  As a Kafka consumer
 resumes from its committed offsets, a committed partition is never
 shipped again: its stats row is built from its manifest on the driver.
 
-The ``peer_correlation`` index pre-pass runs in plain tasks too, one per
-Parquet file group (``_build_peer_index``): a bucketed replay reads the four
-pair columns of its stored buckets, and a path input's tasks read the
-exchange's file groups and prep them as its map tasks do.  Only the bypass
-side output, a Dataset input's peer index and ``prepare_bucketed_corpus``
-still read the input through Ray Data (``_read_normalized``).
+The ``peer_correlation`` index needs no pass of its own over a path
+input: each exchange map task returns the ``peer_pairs`` partial of its
+prepped group next to its counts, and the driver merges the partials after
+the counts barrier, before it submits the reduce tasks.  A bucketed replay
+builds it in plain tasks over the four pair columns of its stored buckets
+(``_build_peer_index``).  ``prepare_bucketed_corpus`` runs on the same
+exchange: file-group map tasks prep and hash, reduce batches write the
+bucket files.  Only the bypass side output and a Dataset input's peer
+index still read the input through Ray Data (``_read_normalized``).
 """
 
 from __future__ import annotations
@@ -89,17 +92,13 @@ from ..enrichers.base import ConversationContext
 from ..sources.parquet import ParquetFileGroup, parquet_file_groups
 from ..stages.grouping import (
     DEFAULT_NUM_PARTITIONS,
-    _arrow_block,
-    _map_sources,
     assemble_conversations,
     bucketed_reduce,
     group_apply_batches,
 )
 from ..stages.filters import RateLimitConfig
 from ..stages.normalize import (
-    POISON_COLUMNS,
     NormalizeConfig,
-    drop_poison_rows,
     normalize,
     prep_main_batch,
     split_bypass,
@@ -573,11 +572,10 @@ def _read_num_blocks(config: "PipelineConfig") -> int:
 
 
 def _read_normalized(input_path_or_ds, config: "PipelineConfig"):
-    """read → normalize → bypass split through Ray Data: the bucketed-corpus
-    writer's pre-shuffle half, the direct run's bypass output, and a
-    Dataset input's main stream for the peer index.  The direct run's own
-    main stream, and a path input's or a replay's peer index, are read in
-    plain tasks over Parquet file groups."""
+    """read → normalize → bypass split through Ray Data: the bypass output
+    (of a direct run or a bucketed-corpus prepare) and a Dataset input's
+    main stream for the peer index.  Every main stream that is exchanged
+    or bucketed is read and prepped in the exchange's map tasks."""
     if isinstance(input_path_or_ds, Dataset):
         ds = input_path_or_ds
     else:
@@ -595,51 +593,22 @@ def _read_normalized(input_path_or_ds, config: "PipelineConfig"):
     return split_bypass(ds, config.normalize)
 
 
-def _poison_rows(src) -> int:
-    """The rows of one map source :func:`drop_poison_rows` removes: a
-    Parquet file group (only ``POISON_COLUMNS`` are read) or a Ray Data
-    block of those columns."""
-    if isinstance(src, ParquetFileGroup):
-        t = src.read(list(POISON_COLUMNS))
-    else:
-        t = _arrow_block(src)
-    return t.num_rows - drop_poison_rows(t).num_rows
-
-
-def _count_poison(input_path_or_ds, config: "PipelineConfig") -> int:
-    """The input's poison rows (a NULL ``conv_id``, ``turn_idx`` or ``ts``),
-    one task per map source over those three columns: the bucketed-corpus
-    writer drops them inside Ray Data, which has no counter."""
-    if isinstance(input_path_or_ds, Dataset):
-        sources = _map_sources(
-            input_path_or_ds.select_columns(list(POISON_COLUMNS))
-        )
-    else:
-        sources = parquet_file_groups(input_path_or_ds, _read_num_blocks(config))
-    task = ray.remote(_poison_rows)
-    return int(sum(ray.get([task.remote(src) for src in sources])))
-
-
-def _peer_partial(group: ParquetFileGroup, config: Optional[NormalizeConfig]):
-    """The peer index's pass 1 over one Parquet file group
-    (:func:`~..enrichers.extended.peer_pairs`): a group of stored buckets
-    (``config`` None: normalized rows, only the pair columns are read) or
-    of input files, prepped as the exchange's map task preps them."""
+def _peer_partial(group: ParquetFileGroup):
+    """The peer index's pass 1 over one group of stored buckets
+    (:func:`~..enrichers.extended.peer_pairs`): normalized rows, only the
+    pair columns are read."""
     from ..enrichers.extended import PEER_COLUMNS, peer_pairs
 
-    if config is None:
-        return peer_pairs(group.read(list(PEER_COLUMNS)))
-    t = group.read()
-    return peer_pairs(prep_main_batch(t, config)[0] if t.num_rows else t)
+    return peer_pairs(group.read(list(PEER_COLUMNS)))
 
 
-def _build_peer_index(groups, config: Optional[NormalizeConfig]) -> Dict[str, str]:
-    """The peer index in one plain task per file group, merged on the
-    driver — no Ray Data stage."""
+def _build_peer_index(groups) -> Dict[str, str]:
+    """A bucketed replay's peer index in one plain task per file group of
+    its stored buckets, merged on the driver — no Ray Data stage."""
     from ..enrichers.extended import merge_peer_partials
 
     task = ray.remote(_peer_partial)
-    return merge_peer_partials(ray.get([task.remote(g, config) for g in groups]))
+    return merge_peer_partials(ray.get([task.remote(g) for g in groups]))
 
 
 def _input_fingerprint(input_path_or_ds) -> dict:
@@ -701,10 +670,19 @@ def prepare_bucketed_corpus(
     silently keep stale buckets.  ``overwrite=True`` wipes the dir and
     rebuilds.
 
-    The input's poison rows (dropped, as in a direct run) are counted and
-    kept in the dir's ``_bucket_meta.json`` as ``rows_poison``, which every
-    replay reports."""
+    The main stream rides the direct exchange with no Ray Data stage, as
+    in a direct run: one map task per Parquet file group of a path input
+    (:func:`~..sources.parquet.parquet_file_groups`), or per block of a
+    Dataset input, reads its input, runs ``prep_main_batch`` (poison drop,
+    normalize, keep-main) and hashes on ``conv_id``; reduce batches write
+    the bucket files (:func:`~..stages.sinks.write_bucketed`).  A resumed
+    prepare ships no slice for a bucket that is already committed.  The
+    poison rows the map tasks drop are counted there and kept in the
+    dir's ``_bucket_meta.json`` as ``rows_poison``, which every replay
+    reports.  Only the bypass side output is still read through Ray Data
+    (``_read_normalized``)."""
     import json
+    from functools import partial
 
     from ..stages.sinks import write_bucketed
 
@@ -728,21 +706,24 @@ def prepare_bucketed_corpus(
             "or use a fresh dir"
         )
     identity_guard(bucket_dir, fp, filename=meta_name, kind="bucket_dir")
-    main, bypass = _read_normalized(input_path_or_ds, config)
+    if isinstance(input_path_or_ds, Dataset):
+        source = input_path_or_ds
+    else:
+        source = parquet_file_groups(input_path_or_ds, _read_num_blocks(config))
     summary = write_bucketed(
-        main,
+        source,
         os.path.join(bucket_dir, "main"),
         key="conv_id",
         num_buckets=config.num_partitions,
+        prep=partial(prep_main_batch, config=config.normalize),
     )
-    if bypass is not None:
-        bp = os.path.join(bucket_dir, "bypass")
-        if not os.path.exists(bp):
-            tmp = bp + "_tmp"
-            shutil.rmtree(tmp, ignore_errors=True)
-            bypass.write_parquet(tmp)
-            os.rename(tmp, bp)
-    summary["rows_poison"] = _count_poison(input_path_or_ds, config)
+    summary["rows_poison"] = summary.pop("rows_dropped")
+    bp = os.path.join(bucket_dir, "bypass")
+    if config.normalize.bypass_rules and not os.path.exists(bp):
+        tmp = bp + "_tmp"
+        shutil.rmtree(tmp, ignore_errors=True)
+        _read_normalized(input_path_or_ds, config)[1].write_parquet(tmp)
+        os.rename(tmp, bp)
     meta_path = os.path.join(bucket_dir, meta_name)
     with open(meta_path) as f:
         meta = json.load(f)
@@ -832,12 +813,20 @@ def run_pipeline(
             if config.normalize.bypass_rules:
                 bypass = _read_normalized(input_path_or_ds, config)[1]
 
-    # optional G4/J2 pre-pass: small-side index built distributively, then
-    # broadcast into the partition stage
-    peer_index = None
-    if config.peer_correlation:
-        from ..enrichers.extended import build_peer_index
+    # optional G4/J2 peer index: a small-side index built distributively,
+    # then broadcast into the partition stage.  A replay or a Dataset input
+    # builds it in a pre-pass; a path input's exchange map tasks return each
+    # group's partial next to their counts (``_direct_exchange``'s side),
+    # merged below once the counts barrier has passed
+    from ..enrichers.extended import build_peer_index, merge_peer_partials, peer_pairs
 
+    peer_index = None
+    map_side_peers = (
+        config.peer_correlation
+        and bucketed_corpus is None
+        and not isinstance(input_path_or_ds, Dataset)
+    )
+    if config.peer_correlation and not map_side_peers:
         t_peer = time.perf_counter()
         if bucketed_corpus is not None:
             # the stored buckets, already normalized: four columns each (a
@@ -847,12 +836,9 @@ def run_pipeline(
                 parquet_file_groups(data_dir, _read_num_blocks(config))
                 if os.path.isdir(data_dir) else []
             )
-            peer_index = _build_peer_index(groups, None)
-        elif main_ds is not None:
-            peer_index = build_peer_index(main_ds)
+            peer_index = _build_peer_index(groups)
         else:
-            # the exchange's file groups, prepped as its map tasks prep them
-            peer_index = _build_peer_index(source, config.normalize)
+            peer_index = build_peer_index(main_ds)
         phases["peer_index"] = round(time.perf_counter() - t_peer, 2)
 
     # S6 analog: write the sink schema manifest once at pipeline start
@@ -869,22 +855,33 @@ def run_pipeline(
     import hashlib
     from functools import partial
 
-    cache_key = hashlib.md5(
-        (repr(config) + repr(sorted((peer_index or {}).items()))).encode()
-    ).hexdigest()
-    batch_task = partial(
-        _partition_batch_task,
-        out_dir=out_dir,
-        config=config,
-        peer_index=peer_index,
-        cache_key=cache_key,
-    )
+    def batch_task(index):
+        """The reduce batches' partition stage with peer index ``index``."""
+        cache_key = hashlib.md5(
+            (repr(config) + repr(sorted((index or {}).items()))).encode()
+        ).hexdigest()
+        return partial(
+            _partition_batch_task,
+            out_dir=out_dir,
+            config=config,
+            peer_index=index,
+            cache_key=cache_key,
+        )
+
+    def merged_batch_task(partials):
+        nonlocal peer_index
+        t_peer = time.perf_counter()
+        peer_index = merge_peer_partials(partials)
+        phases["peer_index"] = round(time.perf_counter() - t_peer, 2)
+        return batch_task(peer_index)
+
     # stateless batch tasks, processor cached per worker process; exchanged
     # partitions and stored buckets share the reduce batches
     # (stages/grouping.py _reduce_stage).  One stats row per partition.
     if bucketed_corpus is not None:
         stats_refs = bucketed_reduce(
-            [main_dir], batch_task, sort_by=["turn_idx", "ts"], skip=skip
+            [main_dir], batch_task(peer_index), sort_by=["turn_idx", "ts"],
+            skip=skip,
         )
         # the poison rows were dropped, and counted, when the corpus was
         # bucketed (None: a corpus prepared before the count was kept)
@@ -895,11 +892,12 @@ def run_pipeline(
         stats_refs, totals = group_apply_batches(
             source,
             "conv_id",
-            batch_task,
+            merged_batch_task if map_side_peers else batch_task(peer_index),
             sort_by=["turn_idx", "ts"],
             num_partitions=config.num_partitions,
             prep=partial(prep_main_batch, config=config.normalize),
             skip=skip,
+            side=peer_pairs if map_side_peers else None,
         )
     stats = pa.concat_tables(
         ray.get(stats_refs)

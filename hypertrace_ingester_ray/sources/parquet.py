@@ -100,6 +100,14 @@ class ParquetFileGroup:
             nonempty, promote_options="default"
         ).replace_schema_metadata(None)
 
+    def empty(self) -> pa.Table:
+        """The group's columns with no rows: its first file's, no row group
+        read."""
+        path, _, partitions = self.files[0]
+        return ParquetFileGroup(
+            [(path, [], partitions)], self.schema, self.filesystem
+        ).read()
+
 
 def _row_group_runs(sizes: List[int], limit: int) -> list:
     """One file as ``[(row group ids, or None for the whole file, bytes)]``:

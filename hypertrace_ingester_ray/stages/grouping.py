@@ -371,7 +371,7 @@ def _ipc_buffer(table: pa.Table) -> pa.Buffer:
 
 
 def _shuffle_map_ipc(src, keys, num_partitions, identity=False, combine=None,
-                     prep=None, skip=None):
+                     prep=None, skip=None, side=None):
     """The exchange's map task: :func:`_shuffle_map_fn` over one map source
     (a Ray Data block, or a group of Parquet files read here), with each
     non-empty slice returned as one Arrow IPC stream buffer.  Ray stores a
@@ -384,7 +384,9 @@ def _shuffle_map_ipc(src, keys, num_partitions, identity=False, combine=None,
     task (the flagship's normalize: no separate Ray Data stage between the
     read and the hash).  The last return is a ``(3, num_partitions)`` int64
     array: rows, then IPC bytes, per partition; then the rows ``prep``
-    dropped, as one total in the first entry."""
+    dropped, as one total in the first entry.  With ``side``, one more
+    return follows: ``side(table)`` over the prepped input, before any
+    partition is skipped (a pre-pass riding this task's read)."""
     block = _arrow_block(src)
     dropped = np.zeros(num_partitions, dtype=np.int64)
     if prep is not None and block.num_rows:
@@ -393,7 +395,8 @@ def _shuffle_map_ipc(src, keys, num_partitions, identity=False, combine=None,
                                       combine, skip)
     bufs = [None if s is None else _ipc_buffer(s) for s in slices]
     nbytes = [0 if b is None else b.size for b in bufs]
-    return (*bufs, np.array([counts, nbytes, dropped], dtype=np.int64))
+    out = (*bufs, np.array([counts, nbytes, dropped], dtype=np.int64))
+    return out if side is None else (*out, side(block))
 
 
 def _read_source(src) -> pa.Table:
@@ -516,7 +519,8 @@ def _map_sources(inp):
 
 def _direct_exchange(inputs, keys, batch_fn, *, orders, num_partitions,
                      schemas=None, identity=False, combine=None,
-                     per_partition_returns=False, prep=None, skip=None):
+                     per_partition_returns=False, prep=None, skip=None,
+                     side=None):
     """Two-stage raw-task hash exchange, bypassing the sort-shuffle machinery.
 
     Why: Ray Data's sort-based ``groupby().map_groups`` costs ~1.8 s on the
@@ -537,7 +541,12 @@ def _direct_exchange(inputs, keys, batch_fn, *, orders, num_partitions,
     partition id on every side.  ``combine`` runs on each block in its map
     task, before the split (see :func:`_shuffle_map_fn`); ``prep`` before
     that (see :func:`_shuffle_map_ipc`).  The partitions in ``skip`` get
-    no slices, so no reduce task plans them.
+    no slices, so no reduce task plans them.  With ``side``, each map task
+    also returns ``side(its prepped input)``; the driver fetches those
+    with the counts and calls ``batch_fn(results)``, which returns the
+    reduce stage's batch function (a small-side pre-pass, such as the
+    flagship's peer index, rides the map tasks' read instead of reading
+    the input again).
 
     Fan-out: the exchange makes map tasks × non-empty partitions objects
     and has no partition ceiling.  On one node (1 CPU) it beat Ray Data's
@@ -564,16 +573,19 @@ def _direct_exchange(inputs, keys, batch_fn, *, orders, num_partitions,
     """
     import ray as _ray
 
-    map_remote = _ray.remote(num_returns=num_partitions + 1)(_shuffle_map_ipc)
+    n_returns = num_partitions + 1 + (side is not None)
+    map_remote = _ray.remote(num_returns=n_returns)(_shuffle_map_ipc)
     map_refs = [
         [
             map_remote.remote(src, keys, num_partitions, identity, combine,
-                              prep, skip)
+                              prep, skip, side)
             for src in _map_sources(inp)
         ]
         for inp in inputs
     ]
-    all_maps = [r for side in map_refs for r in side]
+    all_maps = [r for refs in map_refs for r in refs]
+    if side is not None:
+        batch_fn = batch_fn(_ray.get([r[-1] for r in all_maps]))
     if not all_maps:
         return [], map_refs, {"exchange_bytes": 0, "rows_dropped": 0}
     # counts are tiny (3 x P int64s per map task); fetching them blocks until
@@ -664,6 +676,7 @@ def group_apply_batches(
     num_partitions: int = DEFAULT_NUM_PARTITIONS,
     prep: Optional[Callable] = None,
     skip: Optional[Sequence[int]] = None,
+    side: Optional[Callable] = None,
 ) -> tuple:
     """Direct hash exchange whose consumer takes whole batches of
     partitions: ``batch_fn([(part_id, table), ...])`` runs once per reduce
@@ -671,10 +684,12 @@ def group_apply_batches(
     :func:`group_apply` hands it to ``fn``.  ``source`` is a Dataset or a
     list of Parquet file groups
     (:func:`~..sources.parquet.parquet_file_groups`); ``prep`` runs on each
-    map input in its map task and ``skip`` lists partitions no reduce task
-    gets (see :func:`_direct_exchange`).  Returns ``(refs, totals)``: the
-    ObjectRefs of the batch outputs (fetch them with ``ray.get``), one per
-    reduce task, and ``{"exchange_bytes", "rows_dropped"}``."""
+    map input in its map task, ``skip`` lists partitions no reduce task
+    gets, and with ``side`` the driver first calls ``batch_fn`` with the
+    map tasks' ``side`` results to get the batch function (see
+    :func:`_direct_exchange`).  Returns ``(refs, totals)``: the ObjectRefs
+    of the batch outputs (fetch them with ``ray.get``), one per reduce
+    task, and ``{"exchange_bytes", "rows_dropped"}``."""
     keys = [key] if isinstance(key, str) else list(key)
     refs, _, totals = _direct_exchange(
         [source],
@@ -684,6 +699,7 @@ def group_apply_batches(
         num_partitions=num_partitions,
         prep=prep,
         skip=skip,
+        side=side,
     )
     return refs, totals
 

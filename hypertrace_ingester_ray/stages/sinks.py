@@ -1,8 +1,8 @@
 """Generic resumable partitioned parquet sink.
 
 Generalizes the flagship's sink discipline (pipelines/ingest.py §sinks —
-atomic rename, streamed CRC32 checksums, per-partition manifests, resume
-guard on partition count; reference analog: the keyed sink + offset-commit
+atomic rename, CRC32 checksums, per-partition manifests, resume guard on
+partition count; reference analog: the keyed sink + offset-commit
 semantics of the ingest topology, SURVEY.md §2 S2) into a one-call operator
 any corpus pipeline can use:
 
@@ -11,8 +11,10 @@ any corpus pipeline can use:
 - output is ONE parquet file per hash partition of complete key-groups —
   never one giant file, so a failed 100 TB run resumes by skipping every
   partition whose manifest validates (file present + CRC match);
-- writes happen INSIDE the dataset tasks (distributed, streaming), the
-  driver only collects the per-partition stats rows;
+- the input rides the direct exchange (``stages.grouping``): map tasks
+  read a Dataset's blocks or Parquet file groups themselves, and reduce
+  batches write and commit the files; the driver only collects their
+  per-partition row counts;
 - re-running with a different ``num_partitions`` into the same directory
   raises instead of silently interleaving two layouts.
 """
@@ -22,45 +24,69 @@ from __future__ import annotations
 import json
 import os
 from functools import partial
-from typing import Optional
+from typing import Callable, Optional
 
 import pyarrow as pa
 
+import ray
 from ray.data import Dataset
 
 from ..state import lineage
 from .grouping import (
     DEFAULT_NUM_PARTITIONS,
     _apply_per_partition,
+    _arrow_schema,
     bucketed_reduce,
     combine_by_key,
     group_apply,
+    group_apply_batches,
 )
 
-_STATS_SCHEMA = pa.schema(
-    [
-        ("part_id", pa.int64()),
-        ("rows", pa.int64()),
-        ("resumed", pa.bool_()),
-    ]
-)
+
+def _write_parts(out_dir: str, view: str, parts) -> list:
+    """Reduce batch of :func:`write_partitioned`: each partition written to
+    a file of its own, then committed.  Returns ``[(part_id, rows), ...]``."""
+    out = []
+    for part_id, part in parts:
+        rows, crc = lineage.write_view_part(out_dir, view, part_id, part)
+        lineage.commit_manifest(
+            out_dir,
+            part_id,
+            rows_in=part.num_rows,
+            rows_deduped=0,
+            rows_capped=0,
+            view_counts={view: rows},
+            view_checksums={view: crc},
+        )
+        out.append((part_id, rows))
+    return out
 
 
 def write_partitioned(
-    ds: Dataset,
+    source,
     out_dir: str,
     *,
     key,
     view: str = "data",
     num_partitions: int = DEFAULT_NUM_PARTITIONS,
+    prep: Optional[Callable] = None,
 ) -> dict:
-    """Write ``ds`` as ``num_partitions`` keyed parquet files with CRC
+    """Write ``source`` as ``num_partitions`` keyed parquet files with CRC
     manifests; skip partitions already committed by a previous run.
 
-    Returns ``{"rows", "num_partitions", "resumed_partitions",
-    "view_counts"}``.  The shuffle still runs on resume (manifests gate the
-    WRITE, not the exchange) — resuming saves the sink + downstream cost,
-    which is the expensive part for write-heavy jobs."""
+    ``source`` is what :func:`~.grouping.group_apply_batches` takes: a
+    Dataset (its blocks are the map inputs) or a list of
+    :class:`~..sources.parquet.ParquetFileGroup` (each map task reads its
+    group), and ``prep(table) -> (table, rows dropped)`` runs on each map
+    input in its map task.  The partitions a previous run committed are
+    found from their manifests before the exchange
+    (:func:`~..state.lineage.sweep_uncommitted`, which also deletes every
+    file no valid manifest names) and ship no slice: a resume exchanges
+    and writes only the uncommitted partitions.
+
+    Returns ``{"rows", "num_partitions" (non-empty partitions, written or
+    resumed), "resumed_partitions", "view_counts", "exchange_bytes",
+    "rows_dropped"}``; the last two are the exchange's totals."""
     run_path = os.path.join(out_dir, "_run_manifest.json")
     if os.path.exists(run_path):
         with open(run_path) as f:
@@ -75,44 +101,30 @@ def write_partitioned(
         json.dump({"num_partitions": num_partitions, "view": view}, f)
     os.rename(run_path + ".tmp", run_path)
 
-    def _write(part: pa.Table, part_id: int) -> pa.Table:
-        if part.num_rows == 0:
-            return _STATS_SCHEMA.empty_table()
-        m = lineage.load_manifest(out_dir, part_id)
-        if m is not None:
-            return pa.table(
-                {
-                    "part_id": [part_id],
-                    "rows": [int(m["view_counts"].get(view, 0))],
-                    "resumed": [True],
-                },
-                schema=_STATS_SCHEMA,
-            )
-        rows, crc = lineage.write_view_part(out_dir, view, part_id, part)
-        lineage.commit_manifest(
-            out_dir,
-            part_id,
-            rows_in=part.num_rows,
-            rows_deduped=0,
-            rows_capped=0,
-            view_counts={view: rows},
-            view_checksums={view: crc},
-        )
-        return pa.table(
-            {"part_id": [part_id], "rows": [rows], "resumed": [False]},
-            schema=_STATS_SCHEMA,
-        )
-
-    stats = group_apply(
-        ds, key, _write, pass_part_id=True, num_partitions=num_partitions
-    ).to_pandas()
+    committed = lineage.sweep_uncommitted(out_dir, [view])
+    refs, totals = group_apply_batches(
+        source,
+        key,
+        partial(_write_parts, out_dir, view),
+        num_partitions=num_partitions,
+        prep=prep,
+        skip=sorted(committed),
+    )
+    rows = [n for batch in ray.get(refs) for _, n in batch]
+    resumed = [int(m["view_counts"].get(view, 0)) for m in committed.values()]
+    total = sum(rows) + sum(resumed)
     summary = {
-        "rows": int(stats["rows"].sum()) if len(stats) else 0,
-        "num_partitions": int(len(stats)),
-        "resumed_partitions": int(stats["resumed"].sum()) if len(stats) else 0,
-        "view_counts": {view: int(stats["rows"].sum()) if len(stats) else 0},
+        "rows": total,
+        "num_partitions": len(rows) + len(resumed),
+        "resumed_partitions": len(resumed),
+        "view_counts": {view: total},
+        **totals,
     }
-    lineage.write_run_manifest(out_dir, {**summary, "view": view})
+    # the guard above reads the layout's partition count, not the count of
+    # non-empty partitions the summary reports
+    lineage.write_run_manifest(
+        out_dir, {**summary, "view": view, "num_partitions": num_partitions}
+    )
     return summary
 
 
@@ -440,18 +452,42 @@ def _key_kind(t: pa.DataType) -> str:
     return "int" if pa.types.is_integer(t) else "object"
 
 
+def _exchanged_schema(source, prep) -> Optional[pa.Schema]:
+    """The schema of the rows ``source`` (a Dataset or a list of Parquet
+    file groups) feeds the exchange, after ``prep``, without metadata;
+    None when there is none to find (a certainly-empty Dataset reports no
+    schema, and an empty file list has none).  ``prep`` runs on an empty
+    table of the input's columns, here on the driver."""
+    if isinstance(source, Dataset):
+        raw = source.schema()
+        if raw is None:
+            return None
+        empty = _arrow_schema(raw).empty_table()
+    elif source:
+        empty = source[0].empty()
+    else:
+        return None
+    if prep is not None:
+        empty = prep(empty)[0]
+    return pa.schema([pa.field(n, t) for n, t in zip(empty.schema.names,
+                                                      empty.schema.types)])
+
+
 def write_bucketed(
-    ds: Dataset,
+    source,
     out_dir: str,
     *,
     key,
     num_buckets: int = DEFAULT_NUM_PARTITIONS,
     schema: Optional[pa.Schema] = None,
+    prep: Optional[Callable] = None,
 ) -> dict:
-    """Write ``ds`` as a BUCKETED table: ``num_buckets`` parquet files, file
-    ``i`` holding exactly the rows whose key-hash lands in bucket ``i``,
-    key-sorted within the file, plus a ``_bucket_meta.json`` recording the
-    bucketing contract (key columns, bucket count, hash version, schema).
+    """Write ``source`` as a BUCKETED table: ``num_buckets`` parquet files,
+    file ``i`` holding exactly the rows whose key-hash lands in bucket
+    ``i``, key-sorted within the file, plus a ``_bucket_meta.json``
+    recording the bucketing contract (key columns, bucket count, hash
+    version, schema).  ``source`` and ``prep`` are
+    :func:`write_partitioned`'s; the stored schema is the prepped one.
 
     Two tables bucketed with the same contract can be joined by
     :func:`bucketed_join` with ZERO shuffle — the write pre-pays the
@@ -465,23 +501,18 @@ def write_bucketed(
     Inherits :func:`write_partitioned`'s CRC manifests + resume discipline.
     """
     keys = [key] if isinstance(key, str) else list(key)
-    raw = ds.schema()
-    if raw is None:
-        # a certainly-empty dataset reports no schema — the bucketing
-        # contract still needs one (its key kinds, and the typed empty
-        # table of every missing bucket)
+    arrow_schema = _exchanged_schema(source, prep)
+    if arrow_schema is None:
+        # the bucketing contract still needs a schema (its key kinds, and
+        # the typed empty table of every missing bucket)
         if schema is None:
             raise ValueError(
-                "write_bucketed: dataset has no schema (it is certainly "
+                "write_bucketed: the input has no schema (it is certainly "
                 "empty); pass schema= so the bucket contract can be written"
             )
         arrow_schema = schema
-    else:
-        arrow_schema = pa.schema(
-            [pa.field(n, t) for n, t in zip(raw.names, raw.types)]
-        )
     summary = write_partitioned(
-        ds, out_dir, key=keys, num_partitions=num_buckets
+        source, out_dir, key=keys, num_partitions=num_buckets, prep=prep
     )
     import base64
 

@@ -70,42 +70,6 @@ def checksum_file(path: str) -> int:
             acc = zlib.crc32(chunk, acc)
 
 
-class _Crc32Writer:
-    """File wrapper that CRCs bytes as they stream through — the committed
-    checksum costs no second read of the sink file."""
-
-    def __init__(self, f):
-        self._f = f
-        self.crc = 0
-
-    def write(self, data):
-        b = bytes(data)
-        self.crc = zlib.crc32(b, self.crc)
-        return self._f.write(b)
-
-    def flush(self):
-        self._f.flush()
-
-    def close(self):
-        self._f.close()
-
-    @property
-    def closed(self):
-        return self._f.closed
-
-    def tell(self):
-        return self._f.tell()
-
-    def seekable(self):
-        return False
-
-    def writable(self):
-        return True
-
-    def readable(self):
-        return False
-
-
 #: columns worth min/max statistics at the sink: the partition / time keys a
 #: reader prunes row-groups on.  Stats for wide payload columns (text, tag
 #: maps) cost ~25% of the write and prune nothing — skipped.
@@ -120,11 +84,16 @@ def write_view_part(out_dir: str, view: str, part_id: int, table: pa.Table):
     os.makedirs(os.path.dirname(path), exist_ok=True)
     tmp = path + ".tmp"
     stats_cols = [c for c in table.schema.names if c in _STATS_COLUMNS]
-    with open(tmp, "wb") as raw:
-        w = _Crc32Writer(raw)
-        pq.write_table(table, w, write_statistics=stats_cols)
+    # rendered in memory, then CRC'd and written in one call each: the
+    # committed checksum costs no second read of the sink file, and no
+    # Python callback per chunk the Parquet writer flushes
+    sink = pa.BufferOutputStream()
+    pq.write_table(table, sink, write_statistics=stats_cols)
+    buf = sink.getvalue()
+    with open(tmp, "wb") as f:
+        f.write(buf)
     os.rename(tmp, path)
-    return table.num_rows, w.crc
+    return table.num_rows, zlib.crc32(buf)
 
 
 def _read_manifest(out_dir: str, part_id: int) -> Optional[dict]:

@@ -161,9 +161,11 @@ def test_no_sort_shuffle_left(no_sort_shuffle, sf_dir, tmp_path, monkeypatch,
 
 
 def test_peer_index_without_ray_data(tmp_path, monkeypatch, ray_session):
-    """With ``peer_correlation``, a path-input run and a bucketed replay run
-    with ``ray.data.read_parquet`` and ``Dataset.map_batches`` refusing:
-    the peer index is built in plain tasks over Parquet file groups."""
+    """With ``peer_correlation``, a bucketed-corpus prepare, a path-input
+    run and a bucketed replay run with ``ray.data.read_parquet`` and
+    ``Dataset.map_batches`` refusing: the corpus is bucketed by file-group
+    map tasks, and the peer index rides those map tasks (path input) or
+    plain tasks over the stored buckets (replay)."""
     from hypertrace_ingester_ray.pipelines import ingest
     from hypertrace_ingester_ray.sources.transcripts import (
         write_synthetic_transcripts,
@@ -173,14 +175,13 @@ def test_peer_index_without_ray_data(tmp_path, monkeypatch, ray_session):
     write_synthetic_transcripts(src, n_convs=40, convs_per_file=10, seed=3)
     cfg = ingest.PipelineConfig(num_partitions=4, peer_correlation=True)
     bucket_dir = str(tmp_path / "corpus")
-    # preparing the corpus stays on Ray Data; the refusals start after it
-    ingest.prepare_bucketed_corpus(src, bucket_dir, cfg)
 
     def _refuse(*args, **kwargs):
         raise AssertionError("Ray Data used")
 
     monkeypatch.setattr(ray.data, "read_parquet", _refuse)
     monkeypatch.setattr(ray.data.Dataset, "map_batches", _refuse)
+    ingest.prepare_bucketed_corpus(src, bucket_dir, cfg)
     direct = ingest.run_pipeline(src, str(tmp_path / "direct"), cfg)
     replay = ingest.run_pipeline(
         None, str(tmp_path / "replay"), cfg, bucketed_corpus=bucket_dir

@@ -158,6 +158,24 @@ def test_write_partitioned_resume_and_corruption(ray_session, tmp_path):
     assert sorted(back["doc_id"].to_pylist()) == list(range(1000))
 
 
+def test_write_partitioned_resumes_with_empty_partitions(ray_session, tmp_path):
+    """A layout with empty partitions resumes: the run manifest keeps the
+    layout's partition count (it once stored the non-empty count, and the
+    rerun's count guard then refused the dir)."""
+    import pyarrow as pa
+    import ray.data
+
+    from hypertrace_ingester_ray.stages.sinks import write_partitioned
+
+    t = pa.table({"k": pa.array([1, 2, 3], pa.int64())})
+    out = str(tmp_path / "sparse")
+    s1 = write_partitioned(ray.data.from_arrow(t), out, key="k", num_partitions=8)
+    assert s1["num_partitions"] == 3 and s1["resumed_partitions"] == 0
+    s2 = write_partitioned(ray.data.from_arrow(t), out, key="k", num_partitions=8)
+    assert s2["resumed_partitions"] == 3 and s2["rows"] == 3
+    assert s2["exchange_bytes"] == 0
+
+
 def test_range_partitioned_zone_pruning(ray_session, tmp_path):
     import json
 

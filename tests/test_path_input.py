@@ -1,9 +1,10 @@
 """Path inputs: the exchange's map tasks read Parquet file groups themselves
 (no Ray Data read stage), so a run over a path must equal the run over
 ``ray.data.read_parquet`` of the same path, row for row and byte for byte
-(with and without the peer-service index, which is built in plain tasks
-over the same file groups), with each map task's input bounded in bytes;
-and the rows the poison-row policy drops are counted."""
+(with and without the peer-service index, whose partials the same map
+tasks return), with each map task's input bounded in bytes; the rows the
+poison-row policy drops are counted; and a bucketed-corpus prepare over a
+path runs on the same map tasks, byte for byte like the Dataset prepare."""
 
 import dataclasses
 import glob
@@ -134,13 +135,9 @@ def test_read_num_blocks(flat, tmp_path, num_blocks):
             PipelineConfig(num_partitions=P, read_num_blocks=num_blocks))
 
 
-def test_poison_rows_are_counted(flat, tmp_path):
-    """Rows with a NULL ``ts`` (or ``turn_idx``) are dropped before the
-    exchange and reported as ``rows_poison``, in the summary and in the run
-    manifest, for path and Dataset inputs and on a resumed rerun."""
-    import ray.data
-
-    d = tmp_path / "nulls"
+def _with_poison(flat, d) -> int:
+    """``flat``'s files copied into ``d`` with a NULL ``ts`` or
+    ``turn_idx`` in every seventh row; returns the number of such rows."""
     d.mkdir()
     n_null = 0
     for i, f in enumerate(sorted(glob.glob(os.path.join(flat, "*.parquet")))):
@@ -151,8 +148,19 @@ def test_poison_rows_are_counted(flat, tmp_path):
         t = t.set_column(t.schema.get_field_index(col), col, vals)
         pq.write_table(t, str(d / os.path.basename(f)))
         n_null += int(null.sum())
-    total = sum(pq.ParquetFile(f).metadata.num_rows for f in glob.glob(str(d / "*")))
     assert n_null > 0
+    return n_null
+
+
+def test_poison_rows_are_counted(flat, tmp_path):
+    """Rows with a NULL ``ts`` (or ``turn_idx``) are dropped before the
+    exchange and reported as ``rows_poison``, in the summary and in the run
+    manifest, for path and Dataset inputs and on a resumed rerun."""
+    import ray.data
+
+    d = tmp_path / "nulls"
+    n_null = _with_poison(flat, d)
+    total = sum(pq.ParquetFile(f).metadata.num_rows for f in glob.glob(str(d / "*")))
 
     cfg = PipelineConfig(num_partitions=P)
     out = str(tmp_path / "out")
@@ -240,19 +248,36 @@ PEER_FILES = [
 PEER_INDEX = {"x": "k", "y": "b2", "z": "d"}
 
 
+def _map_side_peer_index(path, num_groups, cfg):
+    """The peer index a path run merges: the ``peer_pairs`` partial each
+    exchange map task returns after its counts, over its prepped group."""
+    from functools import partial
+
+    from hypertrace_ingester_ray.enrichers.extended import (
+        merge_peer_partials,
+        peer_pairs,
+    )
+    from hypertrace_ingester_ray.stages.grouping import _shuffle_map_ipc
+    from hypertrace_ingester_ray.stages.normalize import prep_main_batch
+
+    prep = partial(prep_main_batch, config=cfg.normalize)
+    return merge_peer_partials([
+        _shuffle_map_ipc(g, ["conv_id"], P, prep=prep, side=peer_pairs)[-1]
+        for g in parquet_file_groups(path, num_groups)
+    ])
+
+
 def test_peer_index_replay_matches_direct_and_oracle(flat, tmp_path):
-    """The peer index a path run builds (over the exchange's file groups)
-    and the one a bucketed replay builds (over the stored buckets) both
-    equal a pandas oracle, and the replay routes the same
-    ``peer_service_name`` per turn as the direct run."""
+    """The peer index a path run builds (in the exchange's map tasks) and
+    the one a bucketed replay builds (over the stored buckets) both equal a
+    pandas oracle, and the replay routes the same ``peer_service_name`` per
+    turn as the direct run."""
     import datetime
 
     from hypertrace_ingester_ray.pipelines.ingest import _build_peer_index
 
     cfg = PipelineConfig(num_partitions=P, peer_correlation=True)
-    assert _build_peer_index(
-        parquet_file_groups(flat, 3), cfg.normalize
-    ) == _oracle_peer_index(flat)
+    assert _map_side_peer_index(flat, 3, cfg) == _oracle_peer_index(flat)
 
     src = tmp_path / "peer_in"
     src.mkdir()
@@ -271,13 +296,13 @@ def test_peer_index_replay_matches_direct_and_oracle(flat, tmp_path):
     src = str(src)
     oracle = _oracle_peer_index(src)
     assert oracle == PEER_INDEX
-    assert _build_peer_index(parquet_file_groups(src, 2), cfg.normalize) == oracle
+    assert _map_side_peer_index(src, 2, cfg) == oracle
 
     direct = run_pipeline(src, str(tmp_path / "direct"), cfg)
     bucket_dir = str(tmp_path / "buckets")
     prepare_bucketed_corpus(src, bucket_dir, cfg)
     assert _build_peer_index(
-        parquet_file_groups(os.path.join(bucket_dir, "main", "data"), 3), None
+        parquet_file_groups(os.path.join(bucket_dir, "main", "data"), 3)
     ) == oracle
     replay = run_pipeline(None, str(tmp_path / "replay"), cfg,
                           bucketed_corpus=bucket_dir)
@@ -296,3 +321,104 @@ def test_peer_index_replay_matches_direct_and_oracle(flat, tmp_path):
     assert a.equals(b)
     tools = a[a["tool"].notna()]
     assert (tools["peer_service_name"] == tools["tool"].map(oracle)).all()
+
+
+def _bucket_files(bucket_dir):
+    """``{relative path: bytes}`` of a corpus's bucket files and contract."""
+    main = os.path.join(bucket_dir, "main")
+    paths = glob.glob(os.path.join(main, "data", "*.parquet"))
+    paths.append(os.path.join(main, "_bucket_meta.json"))
+    out = {}
+    for p in paths:
+        with open(p, "rb") as f:
+            out[os.path.relpath(p, main)] = f.read()
+    return out
+
+
+def _rows_poison(bucket_dir):
+    with open(os.path.join(bucket_dir, "_bucket_meta.json")) as f:
+        return json.load(f)["rows_poison"]
+
+
+def test_prepare_path_matches_dataset_prepare(flat, tmp_path):
+    """A path-input prepare (file-group map tasks) and a
+    ``ray.data.read_parquet`` prepare of the same files write byte-identical
+    bucket files and an equal ``main/_bucket_meta.json``, and count the
+    same poison rows, in the summary and the corpus's ``_bucket_meta.json``."""
+    import ray.data
+
+    d = tmp_path / "nulls"
+    n_null = _with_poison(flat, d)
+    cfg = PipelineConfig(num_partitions=P)
+    dirs = [str(tmp_path / "by_path"), str(tmp_path / "by_ds")]
+    by_path = prepare_bucketed_corpus(str(d), dirs[0], cfg)
+    by_ds = prepare_bucketed_corpus(ray.data.read_parquet(str(d)), dirs[1], cfg)
+    assert by_path["rows"] > 0
+    assert _summary(by_path) == _summary(by_ds)
+    assert by_path["rows_poison"] == n_null
+    assert _rows_poison(dirs[0]) == _rows_poison(dirs[1]) == n_null
+    files = _bucket_files(dirs[0])
+    assert len(files) == P + 1
+    assert files == _bucket_files(dirs[1])
+
+
+def test_resumed_prepare_ships_only_uncommitted_buckets(flat, tmp_path):
+    """A prepare into a corpus whose buckets are all committed ships
+    nothing; after one bucket loses its commit, only that bucket is shipped
+    and rewritten, and the corpus equals a fresh prepare's."""
+    from hypertrace_ingester_ray.state import lineage
+
+    cfg = PipelineConfig(num_partitions=P)
+    bucket_dir = str(tmp_path / "buckets")
+    fresh = prepare_bucketed_corpus(flat, bucket_dir, cfg)
+    assert fresh["resumed_partitions"] == 0 and fresh["exchange_bytes"] > 0
+    want = _bucket_files(bucket_dir)
+
+    again = prepare_bucketed_corpus(flat, bucket_dir, cfg)
+    assert again["resumed_partitions"] == P
+    assert again["exchange_bytes"] == 0
+    assert again["rows"] == fresh["rows"]
+
+    main = os.path.join(bucket_dir, "main")
+    os.remove(lineage.manifest_path(main, 3))
+    half = prepare_bucketed_corpus(flat, bucket_dir, cfg)
+    assert half["resumed_partitions"] == P - 1
+    assert 0 < half["exchange_bytes"] < fresh["exchange_bytes"]
+    assert half["rows"] == fresh["rows"]
+    assert half["rows_poison"] == fresh["rows_poison"] == 0
+    assert _bucket_files(bucket_dir) == want
+
+
+def test_zero_row_path_prepare_replays_to_typed_empty_sinks(flat, tmp_path):
+    """A path input whose only file has no rows prepares a corpus with no
+    bucket files and the prepped schema in ``main/_bucket_meta.json`` (the
+    one a non-empty prepare of the same columns stores), prepares again as
+    a resume, and replays to typed empty sinks."""
+    from hypertrace_ingester_ray.schemas import VIEW_SCHEMAS
+    from hypertrace_ingester_ray.stages.sinks import _load_bucket_meta
+
+    d = tmp_path / "empty"
+    d.mkdir()
+    first = sorted(glob.glob(os.path.join(flat, "*.parquet")))[0]
+    pq.write_table(pq.read_table(first).slice(0, 0), str(d / "part-0.parquet"))
+    cfg = PipelineConfig(num_partitions=P)
+    bucket_dir = str(tmp_path / "buckets")
+    for _ in range(2):
+        s = prepare_bucketed_corpus(str(d), bucket_dir, cfg)
+        assert (s["rows"], s["num_partitions"], s["rows_poison"]) == (0, 0, 0)
+    main = os.path.join(bucket_dir, "main")
+    assert not glob.glob(os.path.join(main, "data", "*.parquet"))
+    full = str(tmp_path / "full")
+    prepare_bucketed_corpus(first, full, cfg)
+    assert _load_bucket_meta(main)["schema"].equals(
+        _load_bucket_meta(os.path.join(full, "main"))["schema"]
+    )
+
+    out = str(tmp_path / "replay")
+    r = run_pipeline(None, out, cfg, bucketed_corpus=bucket_dir)
+    assert r["rows_in"] == 0 and r["rows_poison"] == 0
+    assert set(r["view_counts"].values()) == {0}
+    for view, schema in VIEW_SCHEMAS.items():
+        t = pq.read_table(os.path.join(out, view))
+        assert t.num_rows == 0
+        assert t.schema.remove_metadata().equals(schema), view
