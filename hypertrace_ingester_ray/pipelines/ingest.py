@@ -510,19 +510,28 @@ def finalize_metrics(out_dir: str) -> None:
     partial_dir = os.path.join(out_dir, "metrics_partial")
     if os.path.exists(metrics_dir) or not os.path.exists(partial_dir):
         return
+    # the footers' uncompressed row-group bytes, not file sizes: the sink's
+    # codecs must not move the switch between the two combines
     partial_bytes = sum(
-        os.path.getsize(f) for f in glob.glob(os.path.join(partial_dir, "*.parquet"))
+        md.row_group(i).total_byte_size
+        for f in glob.glob(os.path.join(partial_dir, "*.parquet"))
+        for md in [pq.read_metadata(f)]
+        for i in range(md.num_row_groups)
     )
     tmp = metrics_dir + "_tmp"
     shutil.rmtree(tmp, ignore_errors=True)
     if partial_bytes <= DISTRIBUTED_METRICS_THRESHOLD:
         final = finalize_partials(pq.read_table(partial_dir))
         os.makedirs(tmp, exist_ok=True)
-        pq.write_table(final, os.path.join(tmp, "part-00000.parquet"))
+        lineage.write_parquet(final, os.path.join(tmp, "part-00000.parquet"))
     else:
+        # the dataset writer takes the plan's options except store_schema,
+        # which it always applies
+        plan = lineage.parquet_plan(schemas.METRICS)
+        del plan["store_schema"]
         combine_by_key(
             ray.data.read_parquet(partial_dir), METRIC_DIMS, [("num_calls", "sum")]
-        ).write_parquet(tmp)
+        ).write_parquet(tmp, **plan)
     os.rename(tmp, metrics_dir)
 
 
@@ -550,8 +559,6 @@ def _backfill_empty_sinks(out_dir: str) -> None:
     """Write a schema-bearing empty part for any sink dir that no partition
     created (possible only when zero rows routed to that sink everywhere).
     Driver-side, O(#sinks), tiny files — never touches populated sinks."""
-    import pyarrow.parquet as pq
-
     sinks = dict(schemas.VIEW_SCHEMAS)
     sinks["metrics"] = schemas.METRICS
     for name, schema in sinks.items():
@@ -561,7 +568,9 @@ def _backfill_empty_sinks(out_dir: str) -> None:
         tmp = d + "_tmp"
         shutil.rmtree(tmp, ignore_errors=True)
         os.makedirs(tmp, exist_ok=True)
-        pq.write_table(schema.empty_table(), os.path.join(tmp, "part-empty.parquet"))
+        lineage.write_parquet(
+            schema.empty_table(), os.path.join(tmp, "part-empty.parquet")
+        )
         os.rename(tmp, d)
 
 
@@ -602,13 +611,16 @@ def _peer_partial(group: ParquetFileGroup):
     return peer_pairs(group.read(list(PEER_COLUMNS)))
 
 
+#: made once per process, so Ray exports it once (see ``grouping._map_task``)
+_peer_task = ray.remote(_peer_partial)
+
+
 def _build_peer_index(groups) -> Dict[str, str]:
     """A bucketed replay's peer index in one plain task per file group of
     its stored buckets, merged on the driver — no Ray Data stage."""
     from ..enrichers.extended import merge_peer_partials
 
-    task = ray.remote(_peer_partial)
-    return merge_peer_partials(ray.get([task.remote(g) for g in groups]))
+    return merge_peer_partials(ray.get([_peer_task.remote(g) for g in groups]))
 
 
 def _input_fingerprint(input_path_or_ds) -> dict:

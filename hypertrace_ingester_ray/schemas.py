@@ -208,6 +208,11 @@ METRICS = pa.schema(  # A1 MetricsProcessor analog
     ]
 )
 
+#: Free-text sink columns: near-unique per row, so the Parquet writer keeps
+#: them plain (a dictionary over them is a hash build nothing probes again)
+#: and compresses them with zstd (``state/lineage.py:parquet_plan``).
+FREE_TEXT_COLUMNS = frozenset({"text", "summary"})
+
 VIEW_SCHEMAS = {
     "per_turn": PER_TURN_VIEW,
     "per_role": PER_ROLE_VIEW,

@@ -1004,6 +1004,10 @@ def retention(
     with a count of 1; (2) :func:`~.grouping.combine_by_key` sums them on
     (cohort_day, day_offset) — bounded by cohorts x window, not by events.
     ``num_partitions`` sizes the first exchange only.
+
+    NULLs follow SQL (``MIN`` per key, then a join back on the key): a row
+    with a NULL key counts nowhere, a NULL-``ts`` row gets a NULL
+    ``day_offset``, and a key whose every ``ts`` is NULL gets a NULL cohort.
     """
 
     pair_schema = pa.schema(
@@ -1015,6 +1019,7 @@ def retention(
     )
 
     def _pairs(part: pa.Table) -> pa.Table:
+        part = part.filter(pc.is_valid(part[key]))
         if part.num_rows == 0:
             return pair_schema.empty_table()
         bounds = run_boundaries(*_np_cols(part, [key]))
@@ -1024,22 +1029,31 @@ def retention(
         ts_arr = part[ts_col]
         if pa.types.is_timestamp(ts_arr.type):
             ts_arr = ts_arr.cast(pa.timestamp("us"))
+        valid = pc.is_valid(ts_arr).to_numpy(zero_copy_only=False)
         ts = ts_arr.to_numpy(zero_copy_only=False)
         if ts.dtype.kind == "M":
             ts = ts.view(np.int64)
-        day = ts // DAY_US
-        cohort = day[bounds[:-1]]  # first (min-ts) row per key
-        offset = day - cohort[seg]
-        # offsets are nondecreasing within each ts-sorted key: dedup by change
+        day = np.where(valid, ts, 0).astype(np.int64) // DAY_US
+        # NULL ts sorts last in its key: the first row is the min-ts row,
+        # and is NULL only when every ts of the key is
+        cohort = day[bounds[:-1]]
+        has_cohort = valid[bounds[:-1]]
+        offset = np.where(valid, day - cohort[seg], 0)
+        # offsets are nondecreasing within each ts-sorted key, the NULL ones
+        # last: dedup by change
         keep = np.ones(len(day), dtype=bool)
-        keep[1:] = (seg[1:] != seg[:-1]) | (offset[1:] != offset[:-1])
+        keep[1:] = (
+            (seg[1:] != seg[:-1])
+            | (offset[1:] != offset[:-1])
+            | (valid[1:] != valid[:-1])
+        )
         idx = np.flatnonzero(keep)
         return pa.table(
             {
-                "cohort_day": pa.array(cohort[seg[idx]] * DAY_US).cast(
-                    pa.timestamp("us")
-                ),
-                "day_offset": offset[idx],
+                "cohort_day": pa.array(
+                    cohort[seg[idx]] * DAY_US, mask=~has_cohort[seg[idx]]
+                ).cast(pa.timestamp("us")),
+                "day_offset": pa.array(offset[idx], mask=~valid[idx]),
                 "n_users": np.ones(len(idx), np.int64),
             },
             schema=pair_schema,

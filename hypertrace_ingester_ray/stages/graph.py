@@ -48,6 +48,7 @@ from .analytics import distinct_rows
 from .grouping import (
     DEFAULT_NUM_PARTITIONS,
     _combine,
+    _map_task,
     _read_source,
     _shuffle_map_ipc,
     run_boundaries,
@@ -242,7 +243,7 @@ def pagerank(
     if not isinstance(node_type, pa.DataType):
         node_type = pa.int64()
 
-    map_remote = ray.remote(num_returns=P + 1)(_shuffle_map_ipc)
+    map_remote = _map_task.options(num_returns=P + 1)
 
     def _exchange(ds, keys):
         """Direct hash exchange: per-block map tasks, each returning P

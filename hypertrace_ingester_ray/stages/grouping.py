@@ -54,6 +54,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
+import ray
 from ray.data import Dataset
 
 from ..sources.parquet import ParquetFileGroup
@@ -250,18 +251,16 @@ def salted_group_apply(
     instead (assemble_conversations), mirroring the reference's
     INFLIGHT_TRACE_MAX_SPAN_COUNT (RawSpansProcessor.java:347-388).
     """
-    import ray as _ray
-
     hot = hot_key_counts(ds, key, threshold=hot_threshold)
     # broadcast the hot set once; each stateless task fetches it zero-copy
     # in-task (knn_bruteforce pattern) — no actor pool, so no ObjectRef-ctor
     # restart hazard (ray#53727) and no fixed worker cap
-    hot_ref = _ray.put(pa.array(sorted(hot)) if hot else None)
+    hot_ref = ray.put(pa.array(sorted(hot)) if hot else None)
     salt_col = "__salt"
 
     def _add_salt(batch: pa.Table) -> pa.Table:
         n = batch.num_rows
-        hot_arr = _ray.get(hot_ref)
+        hot_arr = ray.get(hot_ref)
         if hot_arr is not None:
             is_hot = pc.is_in(batch[key], value_set=hot_arr).to_numpy(
                 zero_copy_only=False
@@ -399,6 +398,13 @@ def _shuffle_map_ipc(src, keys, num_partitions, identity=False, combine=None,
     return out if side is None else (*out, side(block))
 
 
+#: The exchange's remote functions, made once per process: Ray pickles and
+#: exports a remote function the first time each ``ray.remote`` wrapper is
+#: called in a job, so a wrapper made per call exports it on every call.
+#: Each call sets its own ``num_returns`` through ``.options``.
+_map_task = ray.remote(_shuffle_map_ipc)
+
+
 def _read_source(src) -> pa.Table:
     """One reduce input as a table: an exchange slice (an IPC buffer, read
     zero-copy over the object), a stored bucket file's path, or a table."""
@@ -494,6 +500,9 @@ def _shuffle_reduce_batch_fn(batch_fn, orders, schemas, n_maps, part_ids,
     return batch_fn(parts)
 
 
+_reduce_task = ray.remote(_shuffle_reduce_batch_fn)
+
+
 def _apply_per_partition(fn, pass_part_id, parts):
     """``batch_fn`` of the generic direct exchange: the user fn once per
     partition over its sides, one output per partition (a one-partition
@@ -571,10 +580,8 @@ def _direct_exchange(inputs, keys, batch_fn, *, orders, num_partitions,
     any hash shuffle.  Fault tolerance: map/reduce are deterministic
     tasks, so Ray lineage reconstructs lost slices.
     """
-    import ray as _ray
-
     n_returns = num_partitions + 1 + (side is not None)
-    map_remote = _ray.remote(num_returns=n_returns)(_shuffle_map_ipc)
+    map_remote = _map_task.options(num_returns=n_returns)
     map_refs = [
         [
             map_remote.remote(src, keys, num_partitions, identity, combine,
@@ -585,13 +592,13 @@ def _direct_exchange(inputs, keys, batch_fn, *, orders, num_partitions,
     ]
     all_maps = [r for refs in map_refs for r in refs]
     if side is not None:
-        batch_fn = batch_fn(_ray.get([r[-1] for r in all_maps]))
+        batch_fn = batch_fn(ray.get([r[-1] for r in all_maps]))
     if not all_maps:
         return [], map_refs, {"exchange_bytes": 0, "rows_dropped": 0}
     # counts are tiny (3 x P int64s per map task); fetching them blocks until
     # all maps finish — which is exactly when reduces become runnable anyway
     rows, nbytes, dropped = np.sum(
-        _ray.get([r[num_partitions] for r in all_maps]), axis=0
+        ray.get([r[num_partitions] for r in all_maps]), axis=0
     )
     refs = _reduce_stage(map_refs, rows, batch_fn, orders, schemas,
                          per_partition_returns)
@@ -614,16 +621,13 @@ def _reduce_stage(sides, counts, batch_fn, orders, schemas,
 
     Returns one ref per batch holding ``batch_fn``'s output, or with
     ``per_partition_returns`` one per non-empty partition."""
-    import ray as _ray
-
-    reduce_remote = _ray.remote(_shuffle_reduce_batch_fn)
     n_maps = [len(side) for side in sides]
     schemas = schemas or [None] * len(sides)
-    cpus = int(_ray.cluster_resources().get("CPU", 1))
+    cpus = int(ray.cluster_resources().get("CPU", 1))
     out = []
     for batch in plan_reduce_batches(counts, REDUCE_BATCH_ROWS, cpus):
         n_returns = len(batch) if per_partition_returns else 1
-        refs = reduce_remote.options(num_returns=n_returns).remote(
+        refs = _reduce_task.options(num_returns=n_returns).remote(
             batch_fn, orders, schemas, n_maps, batch,
             *[src[p] for p in batch for side in sides for src in side],
         )
@@ -845,6 +849,9 @@ def _top_rows(sort_keys, k, block) -> pa.Table:
     return t.take(pc.select_k_unstable(t, k, sort_keys))
 
 
+_top_task = ray.remote(_top_rows)
+
+
 def top_k(ds: Dataset, sort_keys: Sequence[tuple], k: int) -> Dataset:
     """The first ``k`` rows of ``ds`` under ``sort_keys`` (pyarrow form,
     ``[(col, "ascending" | "descending"), ...]``), in that order — the
@@ -854,13 +861,11 @@ def top_k(ds: Dataset, sort_keys: Sequence[tuple], k: int) -> Dataset:
     and slices.  Nulls sort last in either direction.  The keys should end
     in a unique column, so ties cannot make the cut depend on the block
     layout."""
-    import ray
     import ray.data as _rd
 
-    top_remote = ray.remote(_top_rows)
     blocks = ray.get(
         [
-            top_remote.remote(sort_keys, k, block_ref)
+            _top_task.remote(sort_keys, k, block_ref)
             for bundle in ds.iter_internal_ref_bundles()
             for block_ref in bundle.block_refs
         ]

@@ -87,6 +87,8 @@ def export_metrics_otlp(out_dir: str, *, metric_name: str = "num_calls") -> str:
 
     import pyarrow.parquet as pq
 
+    from ..state.lineage import write_parquet
+
     src = os.path.join(out_dir, "metrics")
     dst = os.path.join(out_dir, "metrics_otlp")
     if os.path.exists(dst):
@@ -102,7 +104,7 @@ def export_metrics_otlp(out_dir: str, *, metric_name: str = "num_calls") -> str:
     # metrics sink is dims-sized (small by construction) — single-process
     # conversion, same reasoning as finalize_metrics' non-distributed path
     tbl = to_otlp_gauges(pq.read_table(src), metric_name=metric_name)
-    pq.write_table(tbl, os.path.join(tmp, "part-00000.parquet"))
+    write_parquet(tbl, os.path.join(tmp, "part-00000.parquet"))
     os.rename(tmp, dst)
     return dst
 

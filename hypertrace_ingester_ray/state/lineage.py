@@ -40,6 +40,8 @@ from typing import Dict, Optional
 import pyarrow as pa
 import pyarrow.parquet as pq
 
+from ..schemas import FREE_TEXT_COLUMNS
+
 MANIFEST_DIR = "_manifests"
 RUN_MANIFEST = "_run_manifest.json"
 #: Recorded in a pipeline out dir's identity record: out dirs written with
@@ -78,6 +80,63 @@ _STATS_COLUMNS = frozenset(
 )
 
 
+def _leaves(path: str, typ: pa.DataType):
+    """``(leaf path, leaf type)`` of every Parquet column under ``path``,
+    named as the writer's per-column options name them."""
+    if pa.types.is_map(typ):
+        yield from _leaves(f"{path}.key_value.key", typ.key_type)
+        yield from _leaves(f"{path}.key_value.value", typ.item_type)
+    elif pa.types.is_list(typ) or pa.types.is_large_list(typ):
+        yield from _leaves(f"{path}.list.element", typ.value_type)
+    elif pa.types.is_struct(typ):
+        for f in typ:
+            yield from _leaves(f"{path}.{f.name}", f.type)
+    else:
+        yield path, typ
+
+
+def parquet_plan(schema: pa.Schema) -> dict:
+    """``pq.write_table`` keyword arguments for a table of ``schema``, one
+    rule per leaf column:
+
+    - timestamp and int64: no dictionary, ``DELTA_BINARY_PACKED``, zstd —
+      measures and times are near-unique per row but close in value;
+    - the free-text columns (:data:`~..schemas.FREE_TEXT_COLUMNS`): plain,
+      zstd — a dictionary over them is a hash build nothing probes again;
+    - every other leaf (low-cardinality strings, int32, bool, map keys and
+      values): dictionary and snappy — zstd there costs sink CPU and
+      saves little after the dictionary.
+
+    ``store_schema`` stays on, so every column reads back as its declared
+    Arrow type.
+    """
+    dictionary, compression, encoding = [], {}, {}
+    for field in schema:
+        for path, typ in _leaves(field.name, field.type):
+            if pa.types.is_timestamp(typ) or pa.types.is_int64(typ):
+                encoding[path] = "DELTA_BINARY_PACKED"
+                compression[path] = "zstd"
+            elif path in FREE_TEXT_COLUMNS:
+                encoding[path] = "PLAIN"
+                compression[path] = "zstd"
+            else:
+                dictionary.append(path)
+                compression[path] = "snappy"
+    return {
+        "use_dictionary": dictionary,
+        "compression": compression,
+        "column_encoding": encoding,
+        "store_schema": True,
+    }
+
+
+def write_parquet(table: pa.Table, where, **kwargs) -> None:
+    """``pq.write_table`` under :func:`parquet_plan`: the one way the
+    engine writes a sink file (``kwargs``: other writer options, such as
+    ``write_statistics``)."""
+    pq.write_table(table, where, **parquet_plan(table.schema), **kwargs)
+
+
 def write_view_part(out_dir: str, view: str, part_id: int, table: pa.Table):
     """Atomically write one view partition file; returns (rows, checksum)."""
     path = part_file(out_dir, view, part_id)
@@ -88,7 +147,7 @@ def write_view_part(out_dir: str, view: str, part_id: int, table: pa.Table):
     # committed checksum costs no second read of the sink file, and no
     # Python callback per chunk the Parquet writer flushes
     sink = pa.BufferOutputStream()
-    pq.write_table(table, sink, write_statistics=stats_cols)
+    write_parquet(table, sink, write_statistics=stats_cols)
     buf = sink.getvalue()
     with open(tmp, "wb") as f:
         f.write(buf)

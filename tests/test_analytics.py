@@ -723,6 +723,34 @@ def test_retention_matches_pandas(ray_session):
     )
 
 
+def test_retention_nulls_match_duckdb(ray_session):
+    """The ``user_retention`` oracle's NULL rules: a NULL-``ts`` row gets a
+    NULL ``day_offset``, a key whose every ``ts`` is NULL gets a NULL
+    cohort, and a NULL key joins nothing."""
+    import duckdb
+
+    import __ray_entry__ as entry
+
+    day = 86_400_000_000
+    users = ["a", "a", "a", "a", "b", "b", "c", "c", None, "d", "d", "d"]
+    ts = [0, 3, 2 * day, None, None, None, day, 3 * day + 5, 0, day, None, None]
+    events = pa.table(
+        {"user_id": users, "ts": pa.array(ts, pa.timestamp("us"))}
+    )
+    out = analytics.retention(
+        ray.data.from_arrow(events).repartition(3),
+        key="user_id",
+        ts_col="ts",
+        num_partitions=2,
+    ).to_pandas()
+    exp = duckdb.sql(
+        "SELECT CAST(cohort_day AS TIMESTAMP) AS cohort_day, day_offset, "
+        f"n_users FROM ({entry.oracle_sql()['user_retention']})"
+    ).df()
+    assert len(exp) == 7
+    pd.testing.assert_frame_equal(_sorted_str(out), _sorted_str(exp))
+
+
 def test_zscore_outliers_exact_integer_cutoff(ray_session):
     rng = np.random.RandomState(5)
     n = 4000
