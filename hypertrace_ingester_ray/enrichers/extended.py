@@ -243,8 +243,9 @@ def build_peer_index(normalized_ds, *, max_entries: int = 1_000_000) -> Dict[str
     file groups; this wrapper serves Dataset inputs.
 
     Exactness: a pair is seen only when a tool turn and its preceding turn
-    sit in the same block.  A bucketed replay reads whole buckets, and every
-    conversation sits whole in one bucket, so its index is exact.  A path
+    sit in the same block.  A bucketed corpus's index is built over whole
+    buckets, and every conversation sits whole in one bucket, so it is
+    exact.  A path
     input's file groups (and a Dataset's blocks) can split a conversation
     that spans files, and then the pairs across the split are not seen."""
     rows = normalized_ds.map_batches(peer_pairs, batch_format="pyarrow").take_all()

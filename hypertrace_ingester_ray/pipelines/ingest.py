@@ -34,9 +34,12 @@ over the whole batch, so their fixed per-call cost is paid once; the
 row-dropping stages (tenant drop, rate limit, root-exit drop) and assembly
 run per partition, so every manifest counter stays exact.  Partitions at
 or above the target run one per task.  Bucketed replay
-(``prepare_bucketed_corpus``) skips the exchange map: its stored buckets
-are the partitions, counted from their Parquet footers, and ride the same
-reduce batches (``stages.grouping.bucketed_reduce``).
+(``prepare_bucketed_corpus``) starts at the drops, assembly and enricher
+DAG: its stored buckets are the partitions, counted from their Parquet
+footers, and ride the same reduce batches
+(``stages.grouping.bucketed_reduce``); they hold grok-parsed rows already
+sorted by (conv_id, turn_idx, ts), so the reduce task neither sorts nor
+parses them again (extraction only adds the constant tenant column).
 
 The metrics aggregation mirrors the reference's metrics pipeline consuming
 the RawServiceView topic (hypertrace-metrics-generator/.../
@@ -63,11 +66,13 @@ The ``peer_correlation`` index needs no pass of its own over a path
 input: each exchange map task returns the ``peer_pairs`` partial of its
 prepped group next to its counts, and the driver merges the partials after
 the counts barrier, before it submits the reduce tasks.  A bucketed replay
-builds it in plain tasks over the four pair columns of its stored buckets
-(``_build_peer_index``).  ``prepare_bucketed_corpus`` runs on the same
-exchange: file-group map tasks prep and hash, reduce batches write the
-bucket files.  Only the bypass side output and a Dataset input's peer
-index still read the input through Ray Data (``_read_normalized``).
+loads the exact index its corpus stored (``peer_index.parquet``).
+``prepare_bucketed_corpus`` runs on the same exchange: file-group map
+tasks prep, parse and hash, reduce batches write the sorted bucket files,
+then plain tasks over the four pair columns of the stored buckets build
+the index once (``_build_peer_index``).  Only the bypass side output and a
+Dataset input's peer index still read the input through Ray Data
+(``_read_normalized``).
 """
 
 from __future__ import annotations
@@ -101,6 +106,7 @@ from ..stages.normalize import (
     NormalizeConfig,
     normalize,
     prep_main_batch,
+    prep_parsed_batch,
     split_bypass,
 )
 from ..stages.views import VIEW_BUILDERS
@@ -367,22 +373,38 @@ STATS_SCHEMA = pa.schema(
 )
 
 
-def _stats_row(part_id, stats, resumed) -> pa.Table:
-    """One partition's stats row, from ``process_partitions``' stats or a
+def _stats_row(part_id, stats, resumed) -> list:
+    """One partition's stats row, in ``STATS_SCHEMA`` column order
+    (``resumed`` as 0/1), from ``process_partitions``' stats or a
     committed manifest (``resumed``)."""
-    row = {
-        "part_id": [part_id],
-        "rows_in": [stats["rows_in"]],
-        "rows_deduped": [stats["rows_deduped"]],
-        "rows_capped": [stats["rows_capped"]],
+    return [
+        part_id,
+        stats["rows_in"],
+        stats["rows_deduped"],
+        stats["rows_capped"],
         # .get: manifests committed before these counters existed
-        "rows_no_tenant": [stats.get("rows_no_tenant", 0)],
-        "rows_rate_limited": [stats.get("rows_rate_limited", 0)],
-        "resumed": [resumed],
-    }
-    for v in VIEW_BUILDERS:
-        row[f"rows_{v}"] = [stats["view_counts"].get(v, 0)]
-    return pa.Table.from_pydict(row, schema=STATS_SCHEMA)
+        stats.get("rows_no_tenant", 0),
+        stats.get("rows_rate_limited", 0),
+        int(resumed),
+    ] + [stats["view_counts"].get(v, 0) for v in VIEW_BUILDERS]
+
+
+def _stats_array(rows) -> np.ndarray:
+    """Stats rows as one ``(partitions, columns)`` int64 array: a reduce
+    task returns one, which Ray ships as a single buffer (a ``pa.Table``
+    goes through Ray's Arrow reducer column by column on the driver)."""
+    return np.array(rows, dtype=np.int64).reshape(len(rows), len(STATS_SCHEMA))
+
+
+def stats_table(rows: np.ndarray) -> pa.Table:
+    """:func:`_stats_array` rows as a ``STATS_SCHEMA`` table."""
+    return pa.table(
+        [
+            pa.array(np.ascontiguousarray(rows[:, i])).cast(f.type)
+            for i, f in enumerate(STATS_SCHEMA)
+        ],
+        schema=STATS_SCHEMA,
+    )
 
 
 class PartitionProcessor:
@@ -412,10 +434,12 @@ class PartitionProcessor:
         committed, else processed and committed."""
         existing = lineage.load_manifest(self.out_dir, part_id)
         if existing is not None:
-            return _stats_row(part_id, existing, resumed=True)
-        return self.process_batch([(part_id, part)])
+            return stats_table(
+                _stats_array([_stats_row(part_id, existing, resumed=True)])
+            )
+        return stats_table(self.process_batch([(part_id, part)]))
 
-    def process_batch(self, parts, out_dir: Optional[str] = None) -> pa.Table:
+    def process_batch(self, parts, out_dir: Optional[str] = None) -> np.ndarray:
         """Partition stage over ``[(part_id, table), ...]`` (ascending
         part ids, none of them committed: the driver keeps committed
         partitions out of the exchange) in one call: they go through
@@ -423,7 +447,8 @@ class PartitionProcessor:
         per sink under ``out_dir`` (default: the processor's), named by the
         first of them; then each is committed in turn — the partition stays
         the unit of commit and resume.  Returns one stats row per
-        partition."""
+        partition (:func:`_stats_array`; :func:`stats_table` names its
+        columns)."""
         cfg = self.config
         out_dir = out_dir or self.out_dir
         views, stats = process_partitions(
@@ -461,7 +486,7 @@ class PartitionProcessor:
                 },
             )
             rows.append(_stats_row(part_id, st, resumed=False))
-        return pa.concat_tables(rows)
+        return _stats_array(rows)
 
 
 def _cached_processor(config, peer_index, cache_key):
@@ -616,11 +641,39 @@ _peer_task = ray.remote(_peer_partial)
 
 
 def _build_peer_index(groups) -> Dict[str, str]:
-    """A bucketed replay's peer index in one plain task per file group of
-    its stored buckets, merged on the driver — no Ray Data stage."""
+    """A bucketed corpus's peer index in one plain task per file group of
+    its stored buckets, merged on the driver — no Ray Data stage.  Exact:
+    a conversation never spans buckets."""
     from ..enrichers.extended import merge_peer_partials
 
     return merge_peer_partials(ray.get([_peer_task.remote(g) for g in groups]))
+
+
+#: The stored peer index of a bucketed corpus, next to ``main/``.
+PEER_INDEX_FILE = "peer_index.parquet"
+
+#: What a bucketed corpus stores, named in its identity record so a prepare
+#: resumed into a dir of another layout is refused: grok-parsed rows, each
+#: bucket sorted by ``PARTITION_ORDER``, and the exact peer index.
+CORPUS_LAYOUT = "parsed-sorted-peer_index-v1"
+
+#: The partition stage's row order, the order bucket files are stored in.
+PARTITION_ORDER = ("conv_id", "turn_idx", "ts")
+
+
+def _load_peer_index(bucket_dir: str, meta: dict) -> Dict[str, str]:
+    """The peer index ``prepare_bucketed_corpus`` stored; ``meta`` is the
+    corpus's identity record."""
+    import pyarrow.parquet as pq
+
+    if meta.get("layout") != CORPUS_LAYOUT:
+        raise ValueError(
+            f"bucketed_corpus {bucket_dir!r} has no stored peer index (it "
+            "was prepared before the corpus kept one); re-prepare it with "
+            "prepare_bucketed_corpus(..., overwrite=True)"
+        )
+    t = pq.read_table(os.path.join(bucket_dir, PEER_INDEX_FILE))
+    return dict(zip(t["tool"].to_pylist(), t["service"].to_pylist()))
 
 
 def _input_fingerprint(input_path_or_ds) -> dict:
@@ -664,34 +717,42 @@ def prepare_bucketed_corpus(
     *,
     overwrite: bool = False,
 ) -> dict:
-    """Pre-pay the flagship's ONE shuffle: normalize + route once and store
-    the main stream as a conv_id-bucketed table
+    """Pre-pay the flagship's ONE shuffle and its parse: normalize, parse
+    and route once and store the main stream as a conv_id-bucketed table
     (stages/sinks.write_bucketed).  Every later
-    ``run_pipeline(..., bucketed_corpus=bucket_dir)`` replays the full
-    enrich → fan-out → aggregate with ZERO exchange — the reference's
-    replay/reprocessing scenario (Kafka consumers re-reading topics that
-    were pre-sharded by trace key,
+    ``run_pipeline(..., bucketed_corpus=bucket_dir)`` replays the
+    assemble → enrich → fan-out → aggregate stages with ZERO exchange, no
+    grok extraction and no sort — the reference's replay/reprocessing
+    scenario (Kafka consumers re-reading the raw-spans topic, whose spans
+    the span-normalizer already parsed and keyed by trace,
     JaegerSpanToAvroRawSpanTransformer.java:58-65), where the expensive
     corpus is reprocessed many times with evolving enrichers.
 
     Re-preparing into a non-empty ``bucket_dir`` is only allowed when the
     input provably matches the one recorded in ``_bucket_meta.json``
-    (resume-after-kill of the SAME prepare); anything else — different
-    input files, an unverifiable Dataset input, or a dir with no identity
-    record — raises, because write_bucketed's resume manifests would
-    silently keep stale buckets.  ``overwrite=True`` wipes the dir and
-    rebuilds.
+    (resume-after-kill of the SAME prepare, in the same layout); anything
+    else — different input files, an unverifiable Dataset input, a dir
+    prepared in another layout, or a dir with no identity record —
+    raises, because write_bucketed's resume manifests would silently keep
+    stale buckets.  ``overwrite=True`` wipes the dir and rebuilds.
 
     The main stream rides the direct exchange with no Ray Data stage, as
     in a direct run: one map task per Parquet file group of a path input
     (:func:`~..sources.parquet.parquet_file_groups`), or per block of a
-    Dataset input, reads its input, runs ``prep_main_batch`` (poison drop,
-    normalize, keep-main) and hashes on ``conv_id``; reduce batches write
-    the bucket files (:func:`~..stages.sinks.write_bucketed`).  A resumed
-    prepare ships no slice for a bucket that is already committed.  The
-    poison rows the map tasks drop are counted there and kept in the
-    dir's ``_bucket_meta.json`` as ``rows_poison``, which every replay
-    reports.  Only the bypass side output is still read through Ray Data
+    Dataset input, reads its input, runs
+    :func:`~..stages.normalize.prep_parsed_batch` (poison drop, normalize,
+    keep-main, grok extraction; the constant tenant column stays elided,
+    and a replay adds its own config's tenant) and hashes on ``conv_id``;
+    reduce batches write the bucket files
+    (:func:`~..stages.sinks.write_bucketed`), each sorted by
+    ``PARTITION_ORDER``, the partition stage's order.  A resumed prepare
+    ships no slice for a bucket that is already committed.  Then plain
+    tasks over the stored buckets build the exact peer index once
+    (:func:`_build_peer_index`), stored as ``peer_index.parquet``, so a
+    ``peer_correlation`` replay only loads it.  The poison rows the map
+    tasks drop are counted there and kept in the dir's
+    ``_bucket_meta.json`` as ``rows_poison``, which every replay reports.
+    Only the bypass side output is still read through Ray Data
     (``_read_normalized``)."""
     import json
     from functools import partial
@@ -706,6 +767,7 @@ def prepare_bucketed_corpus(
     meta_name = "_bucket_meta.json"
     fp = _input_fingerprint(input_path_or_ds)
     fp["num_buckets"] = config.num_partitions
+    fp["layout"] = CORPUS_LAYOUT
     if fp["kind"] != "path" and os.path.exists(
         os.path.join(bucket_dir, meta_name)
     ):
@@ -722,12 +784,14 @@ def prepare_bucketed_corpus(
         source = input_path_or_ds
     else:
         source = parquet_file_groups(input_path_or_ds, _read_num_blocks(config))
+    main_dir = os.path.join(bucket_dir, "main")
     summary = write_bucketed(
         source,
-        os.path.join(bucket_dir, "main"),
-        key="conv_id",
+        main_dir,
+        key=PARTITION_ORDER[0],
         num_buckets=config.num_partitions,
-        prep=partial(prep_main_batch, config=config.normalize),
+        prep=partial(prep_parsed_batch, config=config.normalize),
+        sort_by=list(PARTITION_ORDER[1:]),
     )
     summary["rows_poison"] = summary.pop("rows_dropped")
     bp = os.path.join(bucket_dir, "bypass")
@@ -736,10 +800,25 @@ def prepare_bucketed_corpus(
         shutil.rmtree(tmp, ignore_errors=True)
         _read_normalized(input_path_or_ds, config)[1].write_parquet(tmp)
         os.rename(tmp, bp)
+    # the exact peer index, over the stored buckets (a zero-row corpus has
+    # no bucket files)
+    data_dir = os.path.join(main_dir, "data")
+    index = _build_peer_index(
+        parquet_file_groups(data_dir, _read_num_blocks(config))
+        if os.path.isdir(data_dir) else []
+    )
+    index_path = os.path.join(bucket_dir, PEER_INDEX_FILE)
+    lineage.write_parquet(
+        pa.table({"tool": pa.array(list(index), pa.string()),
+                  "service": pa.array(list(index.values()), pa.string())}),
+        index_path + ".tmp",
+    )
+    os.replace(index_path + ".tmp", index_path)
     meta_path = os.path.join(bucket_dir, meta_name)
     with open(meta_path) as f:
         meta = json.load(f)
     meta["rows_poison"] = summary["rows_poison"]
+    meta["peer_index_entries"] = len(index)
     with open(meta_path + ".tmp", "w") as f:
         json.dump(meta, f)
     os.replace(meta_path + ".tmp", meta_path)
@@ -757,9 +836,11 @@ def run_pipeline(
     ``_run_manifest.json``).
 
     ``bucketed_corpus`` (from :func:`prepare_bucketed_corpus`) replays the
-    enrich → fan-out → aggregate stages over the stored conv_id-bucketed
-    table with ZERO query-time shuffle; ``input_path_or_ds`` is ignored and
-    the bucket count must match ``config.num_partitions``."""
+    assemble → enrich → fan-out → aggregate stages over the stored
+    conv_id-bucketed table of parsed, sorted rows with ZERO query-time
+    shuffle, parse or sort, and with ``peer_correlation`` loads the peer
+    index the corpus stored; ``input_path_or_ds`` is ignored and the
+    bucket count must match ``config.num_partitions``."""
     import json
 
     config = config or PipelineConfig()
@@ -796,6 +877,10 @@ def run_pipeline(
     if bucketed_corpus is not None:
         from ..stages.sinks import _load_bucket_meta
 
+        # the corpus's identity record: its layout, rows_poison and the
+        # stored peer index's size
+        with open(os.path.join(bucketed_corpus, "_bucket_meta.json")) as f:
+            corpus_meta = json.load(f)
         main_dir = os.path.join(bucketed_corpus, "main")
         meta = _load_bucket_meta(main_dir)
         if list(meta["key"]) != ["conv_id"]:
@@ -826,10 +911,11 @@ def run_pipeline(
                 bypass = _read_normalized(input_path_or_ds, config)[1]
 
     # optional G4/J2 peer index: a small-side index built distributively,
-    # then broadcast into the partition stage.  A replay or a Dataset input
-    # builds it in a pre-pass; a path input's exchange map tasks return each
-    # group's partial next to their counts (``_direct_exchange``'s side),
-    # merged below once the counts barrier has passed
+    # then broadcast into the partition stage.  A replay loads the one its
+    # corpus stored; a Dataset input builds it in a pre-pass; a path
+    # input's exchange map tasks return each group's partial next to their
+    # counts (``_direct_exchange``'s side), merged below once the counts
+    # barrier has passed
     from ..enrichers.extended import build_peer_index, merge_peer_partials, peer_pairs
 
     peer_index = None
@@ -841,14 +927,7 @@ def run_pipeline(
     if config.peer_correlation and not map_side_peers:
         t_peer = time.perf_counter()
         if bucketed_corpus is not None:
-            # the stored buckets, already normalized: four columns each (a
-            # zero-row corpus has no bucket files)
-            data_dir = os.path.join(main_dir, "data")
-            groups = (
-                parquet_file_groups(data_dir, _read_num_blocks(config))
-                if os.path.isdir(data_dir) else []
-            )
-            peer_index = _build_peer_index(groups)
+            peer_index = _load_peer_index(bucketed_corpus, corpus_meta)
         else:
             peer_index = build_peer_index(main_ds)
         phases["peer_index"] = round(time.perf_counter() - t_peer, 2)
@@ -891,31 +970,32 @@ def run_pipeline(
     # partitions and stored buckets share the reduce batches
     # (stages/grouping.py _reduce_stage).  One stats row per partition.
     if bucketed_corpus is not None:
+        # buckets stored in this order are not sorted again
         stats_refs = bucketed_reduce(
-            [main_dir], batch_task(peer_index), sort_by=["turn_idx", "ts"],
+            [main_dir], batch_task(peer_index), sort_by=list(PARTITION_ORDER[1:]),
             skip=skip,
         )
         # the poison rows were dropped, and counted, when the corpus was
         # bucketed (None: a corpus prepared before the count was kept)
-        with open(os.path.join(bucketed_corpus, "_bucket_meta.json")) as f:
-            rows_poison = json.load(f).get("rows_poison")
-        totals = {"exchange_bytes": 0, "rows_dropped": rows_poison}
+        totals = {"exchange_bytes": 0,
+                  "rows_dropped": corpus_meta.get("rows_poison")}
     else:
         stats_refs, totals = group_apply_batches(
             source,
-            "conv_id",
+            PARTITION_ORDER[0],
             merged_batch_task if map_side_peers else batch_task(peer_index),
-            sort_by=["turn_idx", "ts"],
+            sort_by=list(PARTITION_ORDER[1:]),
             num_partitions=config.num_partitions,
             prep=partial(prep_main_batch, config=config.normalize),
             skip=skip,
             side=peer_pairs if map_side_peers else None,
         )
-    stats = pa.concat_tables(
+    stats = np.concatenate(
         ray.get(stats_refs)
-        + [_stats_row(p, m, resumed=True) for p, m in sorted(committed.items())]
-        or [STATS_SCHEMA.empty_table()]
-    ).to_pandas()
+        + [_stats_array([_stats_row(p, m, resumed=True)
+                         for p, m in sorted(committed.items())])]
+    )
+    stats = {name: stats[:, i] for i, name in enumerate(STATS_SCHEMA.names)}
     reduce_tasks = len(stats_refs)
     phases["main_stage"] = round(
         time.perf_counter() - t0 - phases.get("peer_index", 0), 2
@@ -963,9 +1043,10 @@ def run_pipeline(
 
     elapsed = time.perf_counter() - t0
     total_rows_in = int(stats["rows_in"].sum())
+    n_parts = len(stats["part_id"])
     summary = {
         "elapsed_sec": elapsed,
-        "num_partitions": len(stats),
+        "num_partitions": n_parts,
         "reduce_tasks": reduce_tasks,
         # Arrow IPC bytes the exchange's map tasks shipped to the reducers
         "exchange_bytes": totals["exchange_bytes"],
@@ -986,8 +1067,8 @@ def run_pipeline(
         "phases": phases,
         # skew observability: rows per hash partition (A4 operational metrics)
         "partition_rows": {
-            "max": int(stats["rows_in"].max()) if len(stats) else 0,
-            "mean": float(stats["rows_in"].mean()) if len(stats) else 0.0,
+            "max": int(stats["rows_in"].max()) if n_parts else 0,
+            "mean": float(stats["rows_in"].mean()) if n_parts else 0.0,
         },
     }
     if peer_index is not None:

@@ -643,7 +643,10 @@ def bucketed_reduce(dirs, batch_fn, *, sort_by=None,
     counts come from the bucket files' Parquet footers (0 for a missing
     file: that hash range was empty at write time, and for the buckets in
     ``skip``); each task reads its files, and a missing one is its dir's
-    typed empty table.  Side ``s`` is sorted by ``[*its keys, *sort_by]``."""
+    typed empty table.  Side ``s`` is sorted by ``[*its keys, *sort_by]``:
+    when the order its files were written in (``sorted_by`` in the bucket
+    meta) starts with that one, the reduce task does not sort at all, since
+    a stable sort of rows already in that order leaves them unchanged."""
     from ..state import lineage
     from .sinks import _load_bucket_meta
 
@@ -666,7 +669,11 @@ def bucketed_reduce(dirs, batch_fn, *, sort_by=None,
     counts = np.sum(rows, axis=0)
     if skip:
         counts[skip] = 0
-    orders = [list(m["key"]) + list(sort_by or []) for m in metas]
+    orders = []
+    for m in metas:
+        order = list(m["key"]) + list(sort_by or [])
+        stored = m.get("sorted_by", [])
+        orders.append(None if stored[: len(order)] == order else order)
     return _reduce_stage(paths, counts, batch_fn, orders,
                          [m["schema"] for m in metas], per_partition_returns)
 

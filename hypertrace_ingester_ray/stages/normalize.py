@@ -356,15 +356,17 @@ def extract_batch(batch: pa.Table, tenant_id: str = DEFAULT_TENANT) -> pa.Table:
     """Grok extraction over a (possibly light-normalized) batch → full
     NORMALIZED_TURNS layout.  Vectorized; idempotent on already-extracted
     input (detected by column presence).  ``tenant_id`` materializes the
-    constant tenant column the light path elided from the exchange."""
-    if "status_code" in batch.schema.names:
-        return batch
+    constant tenant column the light path elided, from the exchange or
+    from a bucketed corpus's parsed rows (:func:`prep_parsed_batch`), so
+    it is added before the idempotence check."""
     if "tenant_id" not in batch.schema.names:
         batch = batch.add_column(
             0,
             "tenant_id",
             pa.array([tenant_id] * batch.num_rows, pa.string()),
         )
+    if "status_code" in batch.schema.names:
+        return batch
     f = _parse_text_fields(batch["text"], batch.num_rows)
     http_method = f["http_method"]
     api_path = f["api_path"]
@@ -493,6 +495,20 @@ def prep_main_batch(batch: pa.Table, config: NormalizeConfig):
         else normalize_light_batch
     )
     return keep_main(norm(batch, config), config), n - batch.num_rows
+
+
+def prep_parsed_batch(batch: pa.Table, config: NormalizeConfig):
+    """:func:`prep_main_batch` followed by grok extraction: the rows a
+    bucketed corpus stores, so a replay never parses again (the
+    reference's raw-spans topic carries spans the span-normalizer already
+    parsed).  The constant tenant column stays elided exactly where the
+    light path elides it; a replay's :func:`extract_batch` adds the
+    replay config's tenant."""
+    main, dropped = prep_main_batch(batch, config)
+    parsed = extract_batch(main, config.tenant_id)
+    if "tenant_id" not in main.schema.names:
+        parsed = parsed.drop_columns(["tenant_id"])
+    return parsed, dropped
 
 
 def split_bypass(ds: Dataset, config: NormalizeConfig):

@@ -70,9 +70,12 @@ def write_partitioned(
     view: str = "data",
     num_partitions: int = DEFAULT_NUM_PARTITIONS,
     prep: Optional[Callable] = None,
+    sort_by=None,
 ) -> dict:
     """Write ``source`` as ``num_partitions`` keyed parquet files with CRC
-    manifests; skip partitions already committed by a previous run.
+    manifests; skip partitions already committed by a previous run.  Each
+    file's rows are sorted by ``[*key, *sort_by]`` (stable: rows tied on
+    it keep their exchange order).
 
     ``source`` is what :func:`~.grouping.group_apply_batches` takes: a
     Dataset (its blocks are the map inputs) or a list of
@@ -106,6 +109,7 @@ def write_partitioned(
         source,
         key,
         partial(_write_parts, out_dir, view),
+        sort_by=sort_by,
         num_partitions=num_partitions,
         prep=prep,
         skip=sorted(committed),
@@ -481,13 +485,17 @@ def write_bucketed(
     num_buckets: int = DEFAULT_NUM_PARTITIONS,
     schema: Optional[pa.Schema] = None,
     prep: Optional[Callable] = None,
+    sort_by=None,
 ) -> dict:
     """Write ``source`` as a BUCKETED table: ``num_buckets`` parquet files,
     file ``i`` holding exactly the rows whose key-hash lands in bucket
-    ``i``, key-sorted within the file, plus a ``_bucket_meta.json``
-    recording the bucketing contract (key columns, bucket count, hash
-    version, schema).  ``source`` and ``prep`` are
-    :func:`write_partitioned`'s; the stored schema is the prepped one.
+    ``i``, sorted within the file by ``[*key, *sort_by]``, plus a
+    ``_bucket_meta.json`` recording the bucketing contract (key columns,
+    bucket count, hash version, schema, and that order as ``sorted_by``).
+    ``source``, ``prep`` and ``sort_by`` are :func:`write_partitioned`'s;
+    the stored schema is the prepped one.  A reader asking for an order
+    ``sorted_by`` starts with skips its sort
+    (:func:`~.grouping.bucketed_reduce`).
 
     Two tables bucketed with the same contract can be joined by
     :func:`bucketed_join` with ZERO shuffle — the write pre-pays the
@@ -512,7 +520,8 @@ def write_bucketed(
             )
         arrow_schema = schema
     summary = write_partitioned(
-        source, out_dir, key=keys, num_partitions=num_buckets, prep=prep
+        source, out_dir, key=keys, num_partitions=num_buckets, prep=prep,
+        sort_by=sort_by,
     )
     import base64
 
@@ -526,6 +535,7 @@ def write_bucketed(
         "schema_ipc": base64.b64encode(
             arrow_schema.serialize().to_pybytes()
         ).decode("ascii"),
+        "sorted_by": keys + list(sort_by or []),
     }
     tmp = os.path.join(out_dir, _BUCKET_META + ".tmp")
     with open(tmp, "w") as f:

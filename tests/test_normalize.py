@@ -15,6 +15,7 @@ from hypertrace_ingester_ray.stages.normalize import (
     needs_extraction_for_rules,
     normalize_batch,
     normalize_light_batch,
+    prep_parsed_batch,
     rules_mask,
 )
 
@@ -71,6 +72,34 @@ def test_light_plus_extract_equals_full(batch):
     light = extract_batch(normalize_light_batch(batch, cfg))
     assert full.schema.names == light.schema.names
     assert full.equals(light)
+
+
+def test_extract_batch_adds_configured_tenant_to_parsed_rows(batch):
+    """Parsed rows stored without the constant tenant column (a bucketed
+    corpus's) get the tenant ``extract_batch`` is given, and are otherwise
+    left as they are: the same table as extracting the light rows with
+    that tenant."""
+    parsed, dropped = prep_parsed_batch(batch, NormalizeConfig())
+    assert dropped == 0
+    assert "tenant_id" not in parsed.schema.names
+    assert "status_code" in parsed.schema.names
+    out = extract_batch(parsed, tenant_id="acme")
+    assert out["tenant_id"].to_pylist() == ["acme"] * batch.num_rows
+    assert out.equals(extract_batch(normalize_light_batch(batch), "acme"))
+
+
+def test_extract_batch_keeps_a_tenant_column(batch):
+    """A batch that carries ``tenant_id`` keeps it, parsed or not: a
+    column-derived tenant, or a heavy-path batch's configured one."""
+    cfg = NormalizeConfig(tenant_column="role")
+    light = normalize_light_batch(batch, cfg)
+    parsed = prep_parsed_batch(batch, cfg)[0]
+    assert parsed["tenant_id"].to_pylist() == batch["role"].to_pylist()
+    for t in (light, parsed):
+        out = extract_batch(t, tenant_id="acme")
+        assert out["tenant_id"].to_pylist() == batch["role"].to_pylist()
+    full = normalize_batch(batch, NormalizeConfig(tenant_id="globex"))
+    assert extract_batch(full, tenant_id="acme").equals(full)
 
 
 def test_unparseable_text_yields_nulls(batch):

@@ -422,3 +422,146 @@ def test_zero_row_path_prepare_replays_to_typed_empty_sinks(flat, tmp_path):
         t = pq.read_table(os.path.join(out, view))
         assert t.num_rows == 0
         assert t.schema.remove_metadata().equals(schema), view
+
+
+def _prepare_old_layout(path, bucket_dir, cfg):
+    """A corpus as prepared before buckets held parsed, fully sorted rows:
+    light-normalized rows sorted by ``conv_id`` only, no ``sorted_by`` in
+    the bucket contract, no stored peer index, and an identity record
+    without a layout."""
+    from functools import partial
+
+    from hypertrace_ingester_ray.pipelines.ingest import (
+        _input_fingerprint,
+        _read_num_blocks,
+    )
+    from hypertrace_ingester_ray.stages.normalize import prep_main_batch
+    from hypertrace_ingester_ray.stages.sinks import write_bucketed
+
+    main = os.path.join(bucket_dir, "main")
+    s = write_bucketed(
+        parquet_file_groups(path, _read_num_blocks(cfg)), main,
+        key="conv_id", num_buckets=cfg.num_partitions,
+        prep=partial(prep_main_batch, config=cfg.normalize),
+    )
+    meta_path = os.path.join(main, "_bucket_meta.json")
+    with open(meta_path) as f:
+        meta = json.load(f)
+    del meta["sorted_by"]
+    with open(meta_path, "w") as f:
+        json.dump(meta, f)
+    with open(os.path.join(bucket_dir, "_bucket_meta.json"), "w") as f:
+        json.dump({**_input_fingerprint(path), "num_buckets": cfg.num_partitions,
+                   "rows_poison": s["rows_dropped"]}, f)
+
+
+def test_old_layout_corpus_replays_like_parsed_layout(flat, tmp_path):
+    """A corpus in the old layout (light rows, sorted by ``conv_id`` only)
+    replays to the same view counts and sink checksums as one prepared with
+    parsed, fully sorted buckets; its ``peer_correlation`` replay and a
+    re-prepare into it raise.  The parsed corpus stores the exact peer
+    index (equal to the pandas oracle), and a replay under another tenant
+    routes that tenant."""
+    from hypertrace_ingester_ray.pipelines.ingest import PEER_INDEX_FILE
+    from hypertrace_ingester_ray.stages.sinks import _load_bucket_meta
+
+    cfg = PipelineConfig(num_partitions=P)
+    new, old = str(tmp_path / "new"), str(tmp_path / "old")
+    prepare_bucketed_corpus(flat, new, cfg)
+    _prepare_old_layout(flat, old, cfg)
+    meta = _load_bucket_meta(os.path.join(new, "main"))
+    assert meta["sorted_by"] == ["conv_id", "turn_idx", "ts"]
+    assert "status_code" in meta["schema"].names
+    assert "tenant_id" not in meta["schema"].names
+    assert "status_code" not in _load_bucket_meta(os.path.join(old, "main"))[
+        "schema"].names
+
+    runs, sums = {}, {}
+    for name, corpus in (("new", new), ("old", old)):
+        out = str(tmp_path / f"replay_{name}")
+        runs[name] = run_pipeline(None, out, cfg, bucketed_corpus=corpus)
+        sums[name] = _checksums(out)
+    assert runs["new"]["rows_in"] > 0
+    assert _summary(runs["new"]) == _summary(runs["old"])
+    assert sums["new"] == sums["old"]
+
+    oracle = _oracle_peer_index(flat)
+    stored = pq.read_table(os.path.join(new, PEER_INDEX_FILE))
+    assert len(oracle) > 0
+    assert dict(zip(stored["tool"].to_pylist(),
+                    stored["service"].to_pylist())) == oracle
+    peer = dataclasses.replace(cfg, peer_correlation=True)
+    out = str(tmp_path / "replay_peer")
+    s = run_pipeline(None, out, peer, bucketed_corpus=new)
+    assert s["peer_index_entries"] == len(oracle)
+    _peer_observed(s, out, True)
+    with pytest.raises(ValueError, match="overwrite=True"):
+        run_pipeline(None, str(tmp_path / "old_peer"), peer,
+                     bucketed_corpus=old)
+    with pytest.raises(ValueError, match="different run"):
+        prepare_bucketed_corpus(flat, old, cfg)
+
+    acme = dataclasses.replace(cfg, normalize=NormalizeConfig(tenant_id="acme"))
+    out = str(tmp_path / "replay_acme")
+    s = run_pipeline(None, out, acme, bucketed_corpus=new)
+    assert s["view_counts"] == runs["new"]["view_counts"]
+    tenants = pq.read_table(os.path.join(out, "per_turn"))["tenant_id"]
+    assert pc.unique(tenants).to_pylist() == ["acme"]
+
+
+def test_stored_order_skips_the_sort(tmp_path):
+    """``bucketed_reduce`` over buckets stored in the requested order (it
+    passes no sort order) returns the same tables as over the same buckets
+    without ``sorted_by`` (it sorts), rows tied on the full order
+    included; a requested order the stored one does not start with is
+    sorted."""
+    from functools import partial
+
+    import ray
+    import ray.data
+
+    from hypertrace_ingester_ray.stages.grouping import (
+        _apply_per_partition,
+        bucketed_reduce,
+    )
+    from hypertrace_ingester_ray.stages.sinks import write_bucketed
+
+    rng = np.random.default_rng(3)
+    n = 400
+    t = pa.table({
+        "conv_id": pa.array([f"c{i}" for i in rng.integers(0, 9, n)]),
+        "turn_idx": pa.array(rng.integers(0, 4, n), pa.int32()),
+        "ts": pa.array(rng.integers(0, 3, n), pa.timestamp("us")),
+        "ord": pa.array(np.arange(n)),
+    })
+    ds = ray.data.from_arrow([t.slice(i, 50) for i in range(0, n, 50)])
+    order = ["turn_idx", "ts"]
+    stored = str(tmp_path / "stored")
+    write_bucketed(ds, stored, key="conv_id", num_buckets=4, sort_by=order)
+    resort = str(tmp_path / "resort")
+    shutil.copytree(stored, resort)
+    meta_path = os.path.join(resort, "_bucket_meta.json")
+    with open(meta_path) as f:
+        meta = json.load(f)
+    del meta["sorted_by"]
+    with open(meta_path, "w") as f:
+        json.dump(meta, f)
+
+    def tables(d, sort_by):
+        refs = bucketed_reduce([d], partial(_apply_per_partition, lambda x: x,
+                                            False),
+                               sort_by=sort_by, per_partition_returns=True)
+        return ray.get(refs)
+
+    got, want = tables(stored, order), tables(resort, order)
+    assert len(got) == 4
+    assert sum(g.num_rows for g in got) == n
+    for g, w in zip(got, want):
+        assert g.equals(w)
+        keys = list(zip(*(g[c].to_pylist() for c in ["conv_id", *order])))
+        assert keys == sorted(keys)
+        assert len(set(keys)) < g.num_rows  # ties present
+    by_ord = tables(stored, ["ord"])
+    for g in by_ord:
+        assert g.equals(g.sort_by([("conv_id", "ascending"),
+                                   ("ord", "ascending")]))

@@ -241,7 +241,9 @@ def test_process_batch_builds_one_context(tmp_path, monkeypatch):
             }
         )
     )
-    stats = ingest.PartitionProcessor(str(tmp_path)).process_batch([(0, part)])
+    stats = ingest.stats_table(
+        ingest.PartitionProcessor(str(tmp_path)).process_batch([(0, part)])
+    )
     assert stats["rows_per_turn"].to_pylist() == [n]
     assert built == [n]
 
@@ -509,6 +511,7 @@ def test_worker_processor_cache_is_keyed_by_config(tmp_path, sf_dir, monkeypatch
     runs with one config into two out dirs use one cache key, two reduce
     batches with one key into two out dirs share one processor, and each
     batch is written under its own out dir."""
+    import numpy as np
     import pyarrow as pa
 
     from hypertrace_ingester_ray.pipelines import ingest
@@ -534,7 +537,9 @@ def test_worker_processor_cache_is_keyed_by_config(tmp_path, sf_dir, monkeypatch
         stats = ingest._partition_batch_task(
             [(1, part)], out_dir=out, config=cfg, peer_index=None, cache_key="k"
         )
-        assert stats["rows_per_turn"].to_pylist() == [2]
+        # one int64 row per partition, in STATS_SCHEMA column order
+        assert stats.dtype == np.int64
+        assert ingest.stats_table(stats)["rows_per_turn"].to_pylist() == [2]
         assert os.path.exists(lineage.manifest_path(out, 1))
     assert len(ingest._WORKER_PROCESSORS) == 1
     # a new key replaces the cached processor instead of adding one

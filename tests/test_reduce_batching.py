@@ -200,12 +200,14 @@ def test_resume_inside_a_batch(tmp_path, corpus, monkeypatch):
     assert sorted(_manifests(out)) == [f"part-{first:05d}.json"]
     assert lineage.load_manifest(out, first) is None
 
-    rerun = proc.process_batch(parts).to_pydict()
+    rerun = ingest.stats_table(proc.process_batch(parts)).to_pydict()
     assert rerun["part_id"] == [p for p, _ in parts]
     assert rerun["resumed"] == [False] * 6
 
     fresh_out = str(tmp_path / "fresh")
-    fresh = PartitionProcessor(fresh_out, cfg).process_batch(parts).to_pydict()
+    fresh = ingest.stats_table(
+        PartitionProcessor(fresh_out, cfg).process_batch(parts)
+    ).to_pydict()
     assert rerun == fresh
     assert sum(fresh["rows_rate_limited"]) > 0
     assert _manifests(out) == _manifests(fresh_out)
